@@ -12,8 +12,8 @@ use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::delegation::{call_stepped, DelegationClient, DelegationServer};
 use flacdk::sync::rcu::{EpochManager, VersionedCell};
 use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::replicated::{Replica, ReplicatedHandle, ReplicatedLog};
 use flacdk::sync::spinlock::GlobalSpinLock;
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use rack_sim::{NodeId, Rack, RackConfig};
 
 /// Methods under comparison.
@@ -32,12 +32,12 @@ pub struct SyncRow {
     pub mean_op_ns: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct CounterReplica {
     value: u64,
 }
 
-impl Replica for CounterReplica {
+impl SyncState for CounterReplica {
     fn apply(&mut self, op: &[u8]) {
         self.value += u64::from_le_bytes(op.try_into().unwrap_or([0; 8]));
     }
@@ -105,32 +105,33 @@ fn run_cell_on(
             }
         }
         "replication" => {
-            let shared = ReplicatedLog::alloc(rack.global(), nodes, 4096, 64).expect("log");
-            let mut handles: Vec<ReplicatedHandle<CounterReplica>> = (0..nodes)
-                .map(|i| {
-                    ReplicatedHandle::new(shared.clone(), rack.node(i), CounterReplica::default())
-                })
-                .collect();
+            // A fixed-policy cell: per-node replicas fed by the shared log.
+            let cell = SyncCell::alloc(
+                rack.global(),
+                "a1_counter",
+                SyncCellConfig::new(nodes, SyncPolicy::Replicated).with_log(4096, 64),
+                CounterReplica::default(),
+            )
+            .expect("cell");
             for i in 0..ops {
-                let h = &mut handles[i % nodes];
-                let node = h.node().clone();
+                let node = rack.node(i % nodes);
                 let t0 = node.clock().now();
                 if is_read(i, read_pct) {
-                    h.read(|c| c.value).expect("read");
+                    cell.read(&node, |c| c.value).expect("read");
                 } else {
                     // Only the log-tail claim (one fabric atomic) is serial.
                     node.clock().advance_to(serial_free_at);
                     let claim_start = node.clock().now();
-                    h.execute(&1u64.to_le_bytes()).expect("execute");
+                    cell.update(&node, &1u64.to_le_bytes()).expect("update");
                     serial_free_at = claim_start + node.latency().global_atomic_ns;
                 }
                 total_ns += node.clock().now() - t0;
                 // Keep the bounded log drained, as a deployment would.
                 if i % 512 == 511 {
-                    for h in handles.iter_mut() {
-                        h.sync().expect("sync");
+                    for n in 0..nodes {
+                        cell.sync_replica(&rack.node(n)).expect("sync");
                     }
-                    shared.gc(&rack.node(0)).expect("gc");
+                    cell.gc(&rack.node(0)).expect("gc");
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! [`HotnessTracker::pack_order`] produces a hot-first layout ordering so
 //! that frequently co-accessed objects can be packed into few pages /
 //! cache lines, and [`HotnessTracker::tier_split`] partitions objects
-//! into "keep local" and "demote to global" sets for the relocator.
+//! into "keep local" and "demote to global" sets.
 
 use std::collections::HashMap;
 

@@ -1,6 +1,8 @@
 //! FlacDK memory management (paper §3.2 "Memory management").
 //!
-//! Three pieces, mirroring the paper's list:
+//! Two of the paper's three pieces (runtime object relocation between
+//! tiers is not reproduced here; page-granularity tiering lives in
+//! `flacos-tier`):
 //!
 //! 1. [`object::GlobalAllocator`] — an object-granularity allocator over
 //!    the global pool with size-class free lists, designed to be fed by
@@ -8,14 +10,9 @@
 //!    immediate frees.
 //! 2. [`hotness::HotnessTracker`] — per-object access-frequency tracking
 //!    with exponential decay, driving layout packing decisions.
-//! 3. [`relocate::Relocator`] — runtime object movement between global
-//!    and local tiers with a forwarding table, used for defragmentation,
-//!    locality, and memory tiering.
 
 pub mod hotness;
 pub mod object;
-pub mod relocate;
 
 pub use hotness::HotnessTracker;
 pub use object::GlobalAllocator;
-pub use relocate::{Relocator, Tier};

@@ -5,21 +5,18 @@
 //! tree."* Each structure is built on one of the lock-free families,
 //! chosen to match its access pattern:
 //!
-//! * [`vector::SharedVec`] — replication-based (read-mostly sequences).
-//! * [`hashmap::ReplicatedKv`] — replication-based map; reads stay local.
-//! * [`hashmap::DelegatedKvSim`] — delegation-based partitioned map;
-//!   write-heavy workloads ship ops to partition owners.
 //! * [`ringbuf::SpscRing`] — publish/consume ring over global memory,
 //!   the zero-copy IPC transport of §3.5.
 //! * [`radix::RadixTree`] — RCU copy-on-write radix tree; backs the
 //!   shared page cache (§3.4) and page-table-like indexes (§3.3).
+//!
+//! Replicated tables are a [`SyncState`](crate::sync::SyncState) inside a
+//! [`SyncCell`](crate::sync::SyncCell) rather than a data structure of
+//! their own: the file-system metadata and the socket name table are
+//! built that way.
 
-pub mod hashmap;
 pub mod radix;
 pub mod ringbuf;
-pub mod vector;
 
-pub use hashmap::{DelegatedKvSim, KvService, ReplicatedKv};
 pub use radix::RadixTree;
 pub use ringbuf::SpscRing;
-pub use vector::SharedVec;

@@ -12,25 +12,25 @@
 //!    atomics, memory barriers, and cache flush/invalidate/write-back.
 //! 2. **Synchronization interfaces** ([`sync`]) — a baseline global
 //!    spinlock plus the three lock-free families the paper identifies:
-//!    *replication* ([`sync::replicated`], NR-style operation-log
-//!    replicas), *delegation* ([`sync::delegation`], ffwd-style request
-//!    shipping to a partition owner), and *quiescence*
-//!    ([`sync::rcu`], epoch-based multi-version RCU with interval
-//!    reclamation).
-//! 3. **Concurrent data structures** ([`ds`]) — vector, hash tables,
-//!    ring buffer, and radix tree built from the primitives above.
+//!    *replication* (per-node replicas of a [`sync::SyncCell`] fed by its
+//!    shared operation log, NR-style), *delegation* ([`sync::delegation`],
+//!    ffwd-style request shipping to a partition owner), and
+//!    *quiescence* ([`sync::rcu`], epoch-based multi-version RCU with
+//!    interval reclamation).
+//! 3. **Concurrent data structures** ([`ds`]) — ring buffer and radix
+//!    tree built from the primitives above; replicated tables are
+//!    [`sync::SyncState`]s inside a [`sync::SyncCell`].
 //!
 //! ## Memory management (paper §3.2 "Memory management")
 //!
 //! [`alloc`] provides the object-granularity global allocator (hooked
-//! into epoch reclamation), hotness-driven layout packing, and object
-//! relocation/tiering.
+//! into epoch reclamation) and hotness-driven layout packing.
 //!
 //! ## Reliability (paper §3.2 "Reliability")
 //!
-//! [`reliability`] covers the whole fault-handling pipeline — monitoring,
-//! failure prediction, fault detection, checkpointing, and log-replay
-//! recovery — *co-designed* with the synchronization layer: checkpoints
+//! [`reliability`] covers the fault-handling pipeline — monitoring,
+//! fault detection, checkpointing, and log-replay recovery —
+//! *co-designed* with the synchronization layer: checkpoints
 //! pin RCU epochs so multi-version objects double as snapshots, and the
 //! shared operation log doubles as a redo log.
 

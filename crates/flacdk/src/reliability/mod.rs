@@ -2,11 +2,10 @@
 //!
 //! *"These mechanisms cover the entire fault handling process, including
 //! system monitoring, failure prediction, fault detection, checkpointing,
-//! and recovery."* — one module per stage:
+//! and recovery."* — one module per stage this reproduction models
+//! (failure prediction is not reproduced):
 //!
 //! * [`monitor`] — heartbeat table in global memory; suspects silent nodes.
-//! * [`predict`] — correctable-error rate tracking; predicts regions
-//!   about to fail so data can be migrated pre-emptively.
 //! * [`detect`] — checksum guards over global regions; detects both
 //!   poisoned words (read faults) and silent corruption.
 //! * [`checkpoint`] — epoch-pinned object snapshots; reuses the RCU
@@ -16,11 +15,9 @@
 pub mod checkpoint;
 pub mod detect;
 pub mod monitor;
-pub mod predict;
 pub mod recover;
 
 pub use checkpoint::{Checkpoint, CheckpointManager};
 pub use detect::{Detection, FaultDetector};
 pub use monitor::{HealthMonitor, NodeHealth};
-pub use predict::FailurePredictor;
 pub use recover::{RecoveryManager, RecoveryReport};

@@ -40,7 +40,7 @@ impl<T: SyncState> SyncCell<T> {
         inner: &mut CellInner<T>,
         crashed: NodeId,
     ) -> Result<bool, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         let dead = crashed.0 as u64 + 1;
         let prev = self.owner.compare_exchange(ctx, dead, me as u64 + 1)?;
         inner.owner_hint = if prev == dead {

@@ -22,8 +22,9 @@
 //!   delegation owner or flat-combining combiner and replays the tail.
 //! * Per-policy behavior differs in which fabric operations wrap the
 //!   commit, and lives in one module per backend: [`lock`],
-//!   [`replicated`], [`delegated`], [`rcu`], and [`node_replicated`]
-//!   (flat-combined batched appends + per-node lazy replicas).
+//!   [`delegated`], [`rcu`], and [`node_replicated`] (flat-combined
+//!   batched appends). Both replication backends read from the per-node
+//!   replicas of [`replica`]; `Replicated` commits with a direct append.
 //!
 //! Observability rides the PR-1 metrics layer: per-policy op counts,
 //! policy-switch events, and delegation queue depth land in the `sync/*`
@@ -34,15 +35,15 @@ mod delegated;
 mod lock;
 mod node_replicated;
 mod rcu;
-mod replicated;
+mod replica;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePolicy};
 
 use crate::hw::GlobalCell;
 use crate::sync::oplog::SharedOpLog;
 use crate::sync::spinlock::GlobalSpinLock;
-use node_replicated::Replica;
 use rack_sim::{GAddr, GlobalMemory, NodeCtx, NodeId, SimError, LINE_SIZE};
+use replica::Replica;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,8 +53,8 @@ use std::sync::Arc;
 /// committed op sequence from the same initial state must reproduce the
 /// same final state on any node (that is what makes policy switches and
 /// crash recovery lossless). Malformed ops must be ignored, not panic.
-/// `Clone` materializes per-node replicas for the node-replicated
-/// backend (a clone is a consistent snapshot at a log position).
+/// `Clone` materializes the per-node replicas of the replication
+/// backends (a clone is a consistent snapshot at a log position).
 pub trait SyncState: Send + Clone + std::fmt::Debug + 'static {
     /// Fold one committed operation into the state.
     fn apply(&mut self, op: &[u8]);
@@ -224,8 +225,8 @@ struct CellInner<T: SyncState> {
     /// mid-publish (claimed-but-uncommitted holes).
     holes: u64,
     policy: SyncPolicy,
-    /// Per-node replicated watermark (cost model for catch-up replay).
-    synced: Vec<u64>,
+    /// Per-node replicas (replication backends; see [`replica`]).
+    replicas: Vec<Option<Replica<T>>>,
     /// Cached delegation owner (kept in lock-step with the owner cell).
     owner_hint: usize,
     adaptive: Option<AdaptivePolicy>,
@@ -243,7 +244,7 @@ pub struct SyncCell<T: SyncState> {
     name: &'static str,
     log: SharedOpLog,
     /// Per-node applied watermarks in global memory (GC + recovery
-    /// accounting; updated eagerly only by the replicated backend).
+    /// accounting; updated eagerly only by the `Replicated` backend).
     applied_cells: Vec<GlobalCell>,
     /// Delegation owner, node id + 1 (0 = none elected yet).
     owner: GlobalCell,
@@ -268,8 +269,6 @@ pub struct SyncCell<T: SyncState> {
     /// Serializes same-node publishers (one in-flight publication per
     /// node's slot).
     slot_locks: Vec<rack_sim::sync::Mutex<()>>,
-    /// Lazily materialized per-node replicas (node-replicated reads).
-    replicas: Vec<rack_sim::sync::Mutex<Option<Replica<T>>>>,
     /// Per-node publication sequence numbers (entry framing).
     seqs: Vec<AtomicU64>,
     footprint_bytes: usize,
@@ -285,22 +284,21 @@ impl<T: SyncState> SyncCell<T> {
     ///
     /// # Errors
     ///
-    /// Fails when global memory is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.nodes == 0`.
+    /// [`SimError::Protocol`] unless `1 <= cfg.nodes <= 64` (the
+    /// publication summary mask addresses at most 64 nodes); fails when
+    /// global memory is exhausted.
     pub fn alloc(
         global: &GlobalMemory,
         name: &'static str,
         cfg: SyncCellConfig,
         init: T,
     ) -> Result<Arc<Self>, SimError> {
-        assert!(cfg.nodes > 0, "a sync cell needs at least one node");
-        assert!(
-            cfg.nodes <= 64,
-            "the publication summary mask addresses at most 64 nodes"
-        );
+        if cfg.nodes == 0 || cfg.nodes > 64 {
+            return Err(SimError::Protocol(format!(
+                "sync cell {name} sized for {} nodes; supported: 1..=64",
+                cfg.nodes
+            )));
+        }
         let log = SharedOpLog::alloc(global, cfg.log_capacity, cfg.entry_size)?;
         let applied_cells = (0..cfg.nodes)
             .map(|_| GlobalCell::alloc(global, 0))
@@ -322,6 +320,20 @@ impl<T: SyncState> SyncCell<T> {
         let slots = global.alloc(cfg.nodes * slot_stride, LINE_SIZE)?;
         let combiner = GlobalCell::alloc(global, 0)?;
         let pending_mask = GlobalCell::alloc(global, 0)?;
+        let mut inner = CellInner {
+            state: init,
+            applied: 0,
+            holes: 0,
+            policy: cfg.policy,
+            replicas: (0..cfg.nodes).map(|_| None).collect(),
+            owner_hint: 0,
+            adaptive: cfg.adaptive.map(AdaptivePolicy::new),
+            queue_depth: 0,
+            queue_peak: 0,
+        };
+        if cfg.policy == SyncPolicy::Replicated {
+            inner.materialize_all();
+        }
         Ok(Arc::new(SyncCell {
             name,
             log,
@@ -339,22 +351,9 @@ impl<T: SyncState> SyncCell<T> {
             slot_locks: (0..cfg.nodes)
                 .map(|_| rack_sim::sync::Mutex::new(()))
                 .collect(),
-            replicas: (0..cfg.nodes)
-                .map(|_| rack_sim::sync::Mutex::new(None))
-                .collect(),
             seqs: (0..cfg.nodes).map(|_| AtomicU64::new(0)).collect(),
             footprint_bytes: cfg.footprint_bytes,
-            inner: rack_sim::sync::Mutex::new(CellInner {
-                state: init,
-                applied: 0,
-                holes: 0,
-                policy: cfg.policy,
-                synced: vec![0; cfg.nodes],
-                owner_hint: 0,
-                adaptive: cfg.adaptive.map(AdaptivePolicy::new),
-                queue_depth: 0,
-                queue_peak: 0,
-            }),
+            inner: rack_sim::sync::Mutex::new(inner),
         }))
     }
 
@@ -400,6 +399,16 @@ impl<T: SyncState> SyncCell<T> {
         self.log.tail(ctx)
     }
 
+    /// Oldest retained log index: entries below it were garbage
+    /// collected and can no longer be replayed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory errors.
+    pub fn log_head(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
+        self.log.head(ctx)
+    }
+
     /// Peek at the state without charging simulated costs. Diagnostics
     /// and invariant checks only — kernel paths must use
     /// [`SyncCell::read`] so the policy's cost lands on the caller.
@@ -412,16 +421,16 @@ impl<T: SyncState> SyncCell<T> {
         self.inner.lock().queue_peak
     }
 
-    fn me(&self, ctx: &NodeCtx) -> usize {
+    fn me(&self, ctx: &NodeCtx) -> Result<usize, SimError> {
         let id = ctx.id().0;
-        assert!(
-            id < self.applied_cells.len(),
-            "cell {} sized for {} nodes, node id {}",
-            self.name,
-            self.applied_cells.len(),
-            id
-        );
-        id
+        if id >= self.applied_cells.len() {
+            return Err(SimError::Protocol(format!(
+                "cell {} sized for {} nodes, node id {id}",
+                self.name,
+                self.applied_cells.len()
+            )));
+        }
+        Ok(id)
     }
 
     /// Next publication sequence number for `node`'s entry frames.
@@ -495,7 +504,10 @@ impl<T: SyncState> SyncCell<T> {
                 Ok(false)
             }
             SyncPolicy::Replicated => {
-                self.replicated_pre_op(ctx, inner, me)?;
+                // Catch this node's replica up: it serves the read, and
+                // a writer's replica must be current before it appends.
+                let tail = self.log.tail(ctx)?;
+                self.replica_catch_up(ctx, inner, me, tail)?;
                 Ok(false)
             }
             SyncPolicy::Delegated => self.delegated_pre_op(ctx, inner, me, op_len),
@@ -538,19 +550,21 @@ impl<T: SyncState> SyncCell<T> {
         Ok(())
     }
 
-    /// Read the state through the current policy (linearizable: the
-    /// node-replicated backend catches up to the log tail first; see
-    /// [`SyncCell::read_local`] for the zero-fabric replica path).
+    /// Read the state through the current policy (linearizable: both
+    /// replication backends catch up to the log tail first — the
+    /// `Replicated` one into this node's replica, which then serves the
+    /// read; see [`SyncCell::read_local`] for the zero-fabric path).
     ///
     /// # Errors
     ///
-    /// Propagates memory errors.
+    /// Propagates memory errors; [`SimError::Protocol`] for a node the
+    /// cell was not sized for.
     pub fn read<R>(&self, ctx: &NodeCtx, f: impl FnOnce(&T) -> R) -> Result<R, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         let mut inner = self.inner.lock();
         let remote = self.pre_op(ctx, &mut inner, me, true, 0)?;
         ctx.charge(ctx.latency().local_read_ns);
-        let out = f(&inner.state);
+        let out = f(inner.view(me));
         self.post_op(ctx, &mut inner, me, true, remote)?;
         Ok(out)
     }
@@ -580,7 +594,7 @@ impl<T: SyncState> SyncCell<T> {
         op: &[u8],
         f: impl FnOnce(&T) -> R,
     ) -> Result<(u64, R), SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         {
             let inner = self.inner.lock();
             if inner.policy == SyncPolicy::NodeReplicated {
@@ -602,9 +616,14 @@ impl<T: SyncState> SyncCell<T> {
         inner.state.apply(op);
         ctx.charge(ctx.latency().local_write_ns);
         inner.applied = idx + 1;
-        inner.synced[me] = idx + 1;
         if inner.policy == SyncPolicy::Replicated {
             self.applied_cells[me].store(ctx, idx + 1)?;
+            // The writer's replica folds its own op (the apply charged
+            // above): it was caught up to the tail the op landed at.
+            if let Some(rep) = inner.replicas[me].as_mut().filter(|r| r.applied == idx) {
+                rep.state.apply(op);
+                rep.applied = idx + 1;
+            }
         }
         let out = f(&inner.state);
         self.post_op(ctx, &mut inner, me, false, remote)?;
@@ -629,13 +648,16 @@ impl<T: SyncState> SyncCell<T> {
         self.drain_to(ctx, inner, tail)?;
         // Quiesce: publish every node's watermark at the drained tail
         // and bump the switch epoch so late readers re-discover.
-        for (i, cell) in self.applied_cells.iter().enumerate() {
+        for cell in &self.applied_cells {
             cell.store(ctx, inner.applied)?;
-            inner.synced[i] = inner.applied;
+        }
+        if target == SyncPolicy::Replicated {
+            // Every node's replica starts at the published watermark.
+            inner.materialize_all();
         }
         if target == SyncPolicy::Delegated {
             // The switching node becomes the owner.
-            let me = self.me(ctx);
+            let me = self.me(ctx)?;
             self.owner.store(ctx, me as u64 + 1)?;
             inner.owner_hint = me;
             inner.queue_depth = 0;
@@ -692,7 +714,13 @@ impl<T: SyncState> SyncCell<T> {
     /// # Errors
     ///
     /// Propagates memory errors.
-    pub fn replay(&self, ctx: &NodeCtx, mut init: T) -> Result<(T, u64), SimError> {
+    pub fn replay(&self, ctx: &NodeCtx, init: T) -> Result<(T, u64), SimError> {
+        self.replay_to_tail(ctx, init)
+            .map(|(state, replayed, _)| (state, replayed))
+    }
+
+    /// [`SyncCell::replay`], also returning the tail it replayed to.
+    fn replay_to_tail(&self, ctx: &NodeCtx, mut init: T) -> Result<(T, u64, u64), SimError> {
         let head = self.log.head(ctx)?;
         let tail = self.log.tail(ctx)?;
         let mut replayed = 0;
@@ -704,7 +732,7 @@ impl<T: SyncState> SyncCell<T> {
                 }
             }
         }
-        Ok((init, replayed))
+        Ok((init, replayed, tail))
     }
 
     /// Release consumed log slots. Because the cell folds ops at commit
@@ -1029,6 +1057,51 @@ mod tests {
         c.update(&n0, &ins(3, 3)).unwrap(); // owner op drains the queue
         c.update(&n1, &ins(4, 4)).unwrap();
         assert_eq!(c.queue_peak(), 2, "drained before the next request");
+    }
+
+    fn is_protocol<T: std::fmt::Debug>(r: Result<T, SimError>) -> bool {
+        matches!(r, Err(SimError::Protocol(_)))
+    }
+
+    #[test]
+    fn zero_node_cell_is_an_error() {
+        let rack = Rack::new(RackConfig::small_test());
+        let cfg = SyncCellConfig::new(0, SyncPolicy::Replicated);
+        assert!(is_protocol(SyncCell::alloc(
+            rack.global(),
+            "test_zero",
+            cfg,
+            Kv::default()
+        )));
+    }
+
+    #[test]
+    fn cell_wider_than_the_summary_mask_is_an_error() {
+        let rack = Rack::new(RackConfig::small_test());
+        let cfg = SyncCellConfig::new(65, SyncPolicy::NodeReplicated);
+        assert!(is_protocol(SyncCell::alloc(
+            rack.global(),
+            "test_wide",
+            cfg,
+            Kv::default()
+        )));
+    }
+
+    #[test]
+    fn node_outside_the_cell_is_an_error() {
+        let rack = Rack::new(RackConfig::n_node(4));
+        let c: Arc<SyncCell<Kv>> = SyncCell::alloc(
+            rack.global(),
+            "test_narrow",
+            SyncCellConfig::new(2, SyncPolicy::Replicated),
+            Kv::default(),
+        )
+        .unwrap();
+        let n3 = rack.node(3);
+        assert!(is_protocol(c.update(&n3, &ins(1, 1))));
+        assert!(is_protocol(c.read(&n3, |kv| kv.map.len())));
+        assert!(is_protocol(c.read_local(&n3, |kv| kv.map.len())));
+        assert_eq!(c.committed(&rack.node(0)).unwrap(), 0, "nothing committed");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The `NodeReplicated` backend: flat-combined batched log appends plus
-//! per-node lazy replicas (NR/OpLog-style, §3.2 + ROADMAP item 2).
+//! The `NodeReplicated` backend: flat-combined batched log appends
+//! (NR/OpLog-style, §3.2) read through per-node lazy replicas.
 //!
 //! ## Publication slots
 //!
@@ -41,9 +41,10 @@
 //! [`SyncCell::read`] on this backend stays linearizable: it loads the
 //! tail and folds the authoritative state forward (cheap unchecked entry
 //! reads). [`SyncCell::read_local`] serves from this node's lazily
-//! materialized replica with **zero fabric operations** on the hit path;
-//! [`SyncCell::sync_replica`] is the explicit catch-up for
-//! linearization-sensitive readers that want the replica warm.
+//! materialized replica (see [`super::replica`]) with **zero fabric
+//! operations** on the hit path; [`SyncCell::sync_replica`] is the
+//! explicit catch-up for linearization-sensitive readers that want the
+//! replica warm.
 //!
 //! ## Crash recovery
 //!
@@ -59,7 +60,7 @@
 //!
 //! [`SharedOpLog::append_batch`]: crate::sync::oplog::SharedOpLog::append_batch
 
-use super::{frame_op, lines, unframe, CellInner, SyncCell, SyncState};
+use super::{frame_op, unframe, CellInner, SyncCell, SyncState};
 use rack_sim::{GAddr, NodeCtx, NodeId, SimError};
 
 /// Publication-slot states (low byte; consumed carries `first idx << 8`).
@@ -102,14 +103,6 @@ fn unpack_ops(buf: &[u8]) -> Option<Vec<Vec<u8>>> {
         return None;
     }
     Some(ops)
-}
-
-/// A lazily materialized per-node replica: a clone of the state at a
-/// log position, advanced by replaying committed entries.
-#[derive(Debug)]
-pub(super) struct Replica<T> {
-    state: T,
-    applied: u64,
 }
 
 /// One drained publication: a node's pending op list.
@@ -286,13 +279,12 @@ impl<T: SyncState> SyncCell<T> {
         self.drain_to_cheap(ctx, &mut inner, first)?;
         let mut idx = first;
         let (mut own_idx, mut out) = (None, None);
-        if let Some((me, framed)) = own {
+        if let Some((_, framed)) = own {
             if let Some((_, op)) = unframe(framed) {
                 inner.state.apply(op);
                 ctx.charge(ctx.latency().local_write_ns);
             }
             inner.applied = idx + 1;
-            inner.synced[me] = inner.applied;
             own_idx = Some(idx);
             out = Some(f(&inner.state));
             idx += 1;
@@ -321,7 +313,7 @@ impl<T: SyncState> SyncCell<T> {
         op: &[u8],
         f: impl FnOnce(&T) -> R,
     ) -> Result<(u64, R), SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         let framed = frame_op(me as u32, self.next_seq(me), op);
         if framed.len() > self.slot_payload_cap {
             return Err(SimError::Protocol(format!(
@@ -401,15 +393,14 @@ impl<T: SyncState> SyncCell<T> {
         idx: u64,
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, SimError> {
-        let mut guard = self.replicas[me].lock();
-        if let Some(rep) = guard.as_mut() {
-            if rep.applied <= idx {
-                self.replica_catch_up(ctx, rep, idx + 1)?;
-                return Ok(f(&rep.state));
-            }
-        }
-        drop(guard);
         let mut inner = self.inner.lock();
+        if inner.replicas[me]
+            .as_ref()
+            .is_some_and(|r| r.applied <= idx)
+        {
+            self.replica_catch_up(ctx, &mut inner, me, idx + 1)?;
+            return Ok(f(inner.replica_state(me)));
+        }
         let tail = self.log.tail(ctx)?;
         self.drain_to_cheap(ctx, &mut inner, tail)?;
         Ok(f(&inner.state))
@@ -426,105 +417,6 @@ impl<T: SyncState> SyncCell<T> {
         self.drain_to_cheap(ctx, inner, tail)
     }
 
-    /// Materialize `me`'s replica if absent (a clone of the
-    /// authoritative state, charged as one snapshot fetch of the
-    /// footprint). Returns the guard.
-    fn replica_or_materialize(
-        &self,
-        ctx: &NodeCtx,
-        me: usize,
-    ) -> std::sync::MutexGuard<'_, Option<Replica<T>>> {
-        let mut guard = self.replicas[me].lock();
-        if guard.is_none() {
-            let inner = self.inner.lock();
-            let lat = ctx.latency();
-            ctx.charge(
-                lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                    + lat.global_read_ns,
-            );
-            *guard = Some(Replica {
-                state: inner.state.clone(),
-                applied: inner.applied,
-            });
-        }
-        guard
-    }
-
-    /// Advance a replica to `target` by replaying committed entries
-    /// (holes skipped). Re-snapshots from the authoritative state when
-    /// GC collected entries the replica still needed.
-    fn replica_catch_up(
-        &self,
-        ctx: &NodeCtx,
-        rep: &mut Replica<T>,
-        target: u64,
-    ) -> Result<(), SimError> {
-        if rep.applied >= target {
-            return Ok(());
-        }
-        let head = self.log.head(ctx)?;
-        if rep.applied < head {
-            let inner = self.inner.lock();
-            let lat = ctx.latency();
-            ctx.charge(
-                lines(self.footprint_bytes) * (lat.invalidate_line_ns + lat.local_write_ns)
-                    + lat.global_read_ns,
-            );
-            rep.state = inner.state.clone();
-            rep.applied = inner.applied;
-        }
-        while rep.applied < target {
-            if let Some(payload) = self.log.read_entry(ctx, rep.applied)? {
-                if let Some((_, op)) = unframe(&payload) {
-                    rep.state.apply(op);
-                    ctx.charge(ctx.latency().local_write_ns);
-                }
-            }
-            rep.applied += 1;
-        }
-        Ok(())
-    }
-
-    /// Read from this node's replica with **zero fabric operations** on
-    /// the hit path (replica already materialized). The replica is a
-    /// consistent — possibly stale — prefix of the log; use
-    /// [`SyncCell::sync_replica`] first (or [`SyncCell::read`]) when the
-    /// read is linearization-sensitive. Falls back to [`SyncCell::read`]
-    /// on every other backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors (first-use materialization only).
-    pub fn read_local<R>(&self, ctx: &NodeCtx, f: impl FnOnce(&T) -> R) -> Result<R, SimError> {
-        if self.inner.lock().policy != super::SyncPolicy::NodeReplicated {
-            return self.read(ctx, f);
-        }
-        let me = self.me(ctx);
-        let guard = self.replica_or_materialize(ctx, me);
-        let rep = guard.as_ref().expect("replica materialized");
-        ctx.charge(ctx.latency().local_read_ns);
-        let out = f(&rep.state);
-        drop(guard);
-        let mut inner = self.inner.lock();
-        self.post_op(ctx, &mut inner, me, true, false)?;
-        Ok(out)
-    }
-
-    /// Explicitly catch this node's replica up to the current log tail.
-    /// Returns the replica's applied watermark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn sync_replica(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
-        let mut guard = self.replica_or_materialize(ctx, me);
-        let rep = guard.as_mut().expect("replica materialized");
-        let tail = self.log.tail(ctx)?;
-        self.replica_catch_up(ctx, rep, tail)?;
-        Ok(rep.applied)
-    }
-
     /// Combiner takeover after `crashed` died: claim the combiner word
     /// (from the dead holder or from free), then drain every pending
     /// publication with dedup against the committed window — a dead
@@ -538,7 +430,7 @@ impl<T: SyncState> SyncCell<T> {
         inner: &mut CellInner<T>,
         crashed: NodeId,
     ) -> Result<bool, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         let dead = crashed.0 as u64 + 1;
         let holder = self.combiner.load(ctx)?;
         let (claimed, reelected) = if holder == dead {
@@ -655,7 +547,7 @@ impl<T: SyncState> SyncCell<T> {
         if ops.is_empty() {
             return Err(SimError::Protocol("empty publication batch".into()));
         }
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         let _publisher = self.slot_locks[me].lock();
         let mut framed = Vec::with_capacity(ops.len());
         let mut keys = Vec::with_capacity(ops.len());
@@ -691,7 +583,7 @@ impl<T: SyncState> SyncCell<T> {
     /// `Protocol` if another node holds the combiner role; log and
     /// memory errors are propagated.
     pub fn nr_combine(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
@@ -717,7 +609,7 @@ impl<T: SyncState> SyncCell<T> {
     /// `Protocol` when the publication was aborted (log full); memory
     /// errors are propagated.
     pub fn nr_poll(&self, ctx: &NodeCtx) -> Result<Option<u64>, SimError> {
-        let st = ctx.load_uncached_u64(self.slot_addr(self.me(ctx)))?;
+        let st = ctx.load_uncached_u64(self.slot_addr(self.me(ctx)?))?;
         if st & 0xff == SLOT_CONSUMED_TAG {
             return Ok(Some(st >> 8));
         }
@@ -736,7 +628,7 @@ impl<T: SyncState> SyncCell<T> {
     ///
     /// `Protocol` if the combiner role is already claimed.
     pub fn nr_combine_crash_before_append(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
@@ -755,7 +647,7 @@ impl<T: SyncState> SyncCell<T> {
     /// `Protocol` if the combiner role is already claimed; log and
     /// memory errors are propagated.
     pub fn nr_combine_crash_after_append(&self, ctx: &NodeCtx) -> Result<u64, SimError> {
-        let me = self.me(ctx);
+        let me = self.me(ctx)?;
         if self.combiner.compare_exchange(ctx, 0, me as u64 + 1)? != 0 {
             return Err(SimError::Protocol("combiner role already claimed".into()));
         }
@@ -878,31 +770,47 @@ mod tests {
 
     #[test]
     fn read_local_hits_replica_with_zero_fabric_ops() {
-        let rack = Rack::new(RackConfig::n_node(4));
-        let c = nr_cell(&rack);
-        for i in 0..8u32 {
-            c.update(&rack.node((i % 2) as usize), &op(i % 2, i))
-                .unwrap();
-        }
-        let n3 = rack.node(3);
-        assert_eq!(c.sync_replica(&n3).unwrap(), 8);
-        let before = n3.stats().snapshot();
-        for _ in 0..32 {
+        // Both replication backends serve read_local off the same
+        // per-node replica machinery.
+        for policy in [SyncPolicy::Replicated, SyncPolicy::NodeReplicated] {
+            let rack = Rack::new(RackConfig::n_node(4));
+            let c: Arc<SyncCell<Tally>> = SyncCell::alloc(
+                rack.global(),
+                "test_read_local",
+                SyncCellConfig::new(4, policy).with_log(256, 48),
+                Tally::default(),
+            )
+            .unwrap();
+            for i in 0..8u32 {
+                c.update(&rack.node((i % 2) as usize), &op(i % 2, i))
+                    .unwrap();
+            }
+            let n3 = rack.node(3);
+            assert_eq!(c.sync_replica(&n3).unwrap(), 8, "{policy}");
+            let before = n3.stats().snapshot();
+            for _ in 0..32 {
+                assert_eq!(c.read_local(&n3, |t| t.per_node.len()).unwrap(), 8);
+            }
+            let after = n3.stats().snapshot();
+            assert_eq!(after.global_reads, before.global_reads, "{policy}: reads");
+            assert_eq!(
+                after.global_writes, before.global_writes,
+                "{policy}: writes"
+            );
+            assert_eq!(
+                after.global_atomics, before.global_atomics,
+                "{policy}: atomics"
+            );
+            assert_eq!(
+                after.messages_sent, before.messages_sent,
+                "{policy}: messages"
+            );
+            // The replica is stale until synced, then current again.
+            c.update(&rack.node(0), &op(0, 99)).unwrap();
             assert_eq!(c.read_local(&n3, |t| t.per_node.len()).unwrap(), 8);
+            c.sync_replica(&n3).unwrap();
+            assert_eq!(c.read_local(&n3, |t| t.per_node.len()).unwrap(), 9);
         }
-        let after = n3.stats().snapshot();
-        assert_eq!(after.global_reads, before.global_reads, "no fabric reads");
-        assert_eq!(
-            after.global_writes, before.global_writes,
-            "no fabric writes"
-        );
-        assert_eq!(after.global_atomics, before.global_atomics, "no atomics");
-        assert_eq!(after.messages_sent, before.messages_sent, "no messages");
-        // The replica is stale until synced, then current again.
-        c.update(&rack.node(0), &op(0, 99)).unwrap();
-        assert_eq!(c.read_local(&n3, |t| t.per_node.len()).unwrap(), 8);
-        c.sync_replica(&n3).unwrap();
-        assert_eq!(c.read_local(&n3, |t| t.per_node.len()).unwrap(), 9);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! (kept for comparison and for rarely-contended slow paths), the three
 //! lock-free families the paper identifies:
 //!
-//! * **Replication** ([`replicated`]) — every node holds a local replica;
-//!   a shared [`oplog::SharedOpLog`] carries mutations, replayed on each
-//!   node. Reads are node-local; only writes touch the fabric.
+//! * **Replication** ([`SyncPolicy::Replicated`] and
+//!   [`SyncPolicy::NodeReplicated`] on a [`cell::SyncCell`]) — every node
+//!   holds a local replica; a shared [`oplog::SharedOpLog`] carries
+//!   mutations, replayed on each node. Reads are node-local; only writes
+//!   touch the fabric.
 //! * **Delegation** ([`delegation`]) — state is partitioned; each
 //!   partition has one owner node that executes all operations on it,
 //!   with other nodes shipping requests over the interconnect.
@@ -25,7 +27,6 @@ pub mod delegation;
 pub mod oplog;
 pub mod rcu;
 pub mod reclaim;
-pub mod replicated;
 pub mod spinlock;
 
 pub use cell::{
@@ -35,5 +36,4 @@ pub use delegation::{DelegationClient, DelegationServer, Service};
 pub use oplog::SharedOpLog;
 pub use rcu::{EpochManager, RcuHandle, VersionedCell};
 pub use reclaim::RetireList;
-pub use replicated::{Replica, ReplicatedHandle, ReplicatedLog};
 pub use spinlock::GlobalSpinLock;

@@ -3,15 +3,15 @@
 //! Paper §3.4: *"we expect to enhance journaling in FlacOS to
 //! simultaneously improve reliability and scalability by integrating it
 //! with synchronization mechanism."* In this implementation the
-//! integration is total: the metadata **operation log** used by
-//! replication-based synchronization *is* the write-ahead journal.
-//! Every metadata mutation is durable in global memory (committed log
-//! slot) before any replica applies it, so recovering a node — or
-//! mounting a fresh one — is simply replaying the log.
+//! integration is total: the committed-op log of the metadata
+//! [`SyncCell`](flacdk::sync::SyncCell) (replication policy) *is* the
+//! write-ahead journal. Every metadata mutation is durable in global
+//! memory (committed log slot) before any replica applies it, so
+//! recovering a node — or mounting a fresh one — is simply a cell
+//! replay.
 
 use crate::memfs::FsShared;
 use crate::meta::MetaReplica;
-use flacdk::sync::replicated::Replica;
 use rack_sim::{NodeCtx, SimError};
 
 /// Journal state summary.
@@ -31,9 +31,8 @@ pub struct JournalInfo {
 ///
 /// Propagates memory errors.
 pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, SimError> {
-    let log = shared.meta_log().log();
-    let head = log.head(ctx)?;
-    let tail = log.tail(ctx)?;
+    let head = shared.meta().log_head(ctx)?;
+    let tail = shared.meta().committed(ctx)?;
     Ok(JournalInfo {
         head,
         tail,
@@ -43,10 +42,10 @@ pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, Sim
 
 /// Rebuild file-system metadata by replaying the journal from its head.
 ///
-/// Replay stops cleanly at the first uncommitted slot (a node that
-/// crashed mid-append leaves a hole; everything before it is a
-/// consistent prefix). Returns the recovered replica and the number of
-/// entries replayed.
+/// A node that crashed mid-append leaves a hole (a claimed slot that
+/// never committed); replay skips it, as every replica does — the op
+/// was never acknowledged. Returns the recovered replica and the number
+/// of entries replayed.
 ///
 /// The caller must ensure the journal has not been truncated past state
 /// it needs (FlacOS only advances the journal head after a metadata
@@ -57,21 +56,7 @@ pub fn journal_info(ctx: &NodeCtx, shared: &FsShared) -> Result<JournalInfo, Sim
 ///
 /// Propagates memory errors.
 pub fn recover_meta(ctx: &NodeCtx, shared: &FsShared) -> Result<(MetaReplica, u64), SimError> {
-    let log = shared.meta_log().log();
-    let head = log.head(ctx)?;
-    let tail = log.tail(ctx)?;
-    let mut replica = MetaReplica::default();
-    let mut replayed = 0;
-    for idx in head..tail {
-        match log.read(ctx, idx)? {
-            Some(op) => {
-                replica.apply(&op);
-                replayed += 1;
-            }
-            None => break,
-        }
-    }
-    Ok((replica, replayed))
+    shared.meta().replay(ctx, MetaReplica::default())
 }
 
 #[cfg(test)]

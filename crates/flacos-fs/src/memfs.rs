@@ -1,10 +1,10 @@
 //! The per-node file-system facade.
 //!
-//! [`FsShared`] is the rack-shared half (metadata op log, shared page
-//! cache, backing device); [`MemFs`] is one node's mount: a local
-//! metadata replica plus handles onto the shared structures. All nodes
-//! mounting the same [`FsShared`] see one file system with one page
-//! cache copy.
+//! [`FsShared`] is the rack-shared half (the metadata [`SyncCell`],
+//! shared page cache, backing device); [`MemFs`] is one node's mount:
+//! its node's metadata replica inside that cell plus handles onto the
+//! shared structures. All nodes mounting the same [`FsShared`] see one
+//! file system with one page cache copy.
 
 use crate::block::BlockDevice;
 use crate::meta::{op_create, op_rename, op_set_size, op_unlink, FileKind, InodeAttr, MetaReplica};
@@ -12,7 +12,7 @@ use crate::page_cache::SharedPageCache;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
-use flacdk::sync::replicated::{ReplicatedHandle, ReplicatedLog};
+use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
 use flacos_mem::PAGE_SIZE;
 use rack_sim::{GlobalMemory, NodeCtx, SimError};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// The rack-shared parts of one file system instance.
 #[derive(Debug)]
 pub struct FsShared {
-    meta_log: Arc<ReplicatedLog>,
+    meta: Arc<SyncCell<MetaReplica>>,
     cache: Arc<SharedPageCache>,
     device: Arc<BlockDevice>,
 }
@@ -40,19 +40,25 @@ impl FsShared {
         device: Arc<BlockDevice>,
     ) -> Result<Arc<Self>, SimError> {
         // Metadata ops are small; 4096 entries × 256 B covers busy tests
-        // and experiments between journal truncations.
-        let meta_log = ReplicatedLog::alloc(global, nodes, 4096, 256)?;
+        // and experiments between journal truncations. Replication: every
+        // node reads its own replica, mutations ride the shared log.
+        let meta = SyncCell::alloc(
+            global,
+            "fs_meta",
+            SyncCellConfig::new(nodes, SyncPolicy::Replicated).with_log(4096, 256),
+            MetaReplica::default(),
+        )?;
         let cache = SharedPageCache::alloc(global, alloc, epochs, retired)?;
         Ok(Arc::new(FsShared {
-            meta_log,
+            meta,
             cache,
             device,
         }))
     }
 
-    /// The metadata operation log (also the journal).
-    pub fn meta_log(&self) -> &Arc<ReplicatedLog> {
-        &self.meta_log
+    /// The replicated metadata cell; its op log is the journal.
+    pub fn meta(&self) -> &Arc<SyncCell<MetaReplica>> {
+        &self.meta
     }
 
     /// The shared page cache.
@@ -70,19 +76,14 @@ impl FsShared {
 #[derive(Debug)]
 pub struct MemFs {
     shared: Arc<FsShared>,
-    meta: ReplicatedHandle<MetaReplica>,
     node: Arc<NodeCtx>,
 }
 
 impl MemFs {
-    /// Mount `shared` on `node`.
+    /// Mount `shared` on `node`. Mounts on one node share that node's
+    /// metadata replica.
     pub fn mount(shared: Arc<FsShared>, node: Arc<NodeCtx>) -> Self {
-        let meta = ReplicatedHandle::new(
-            shared.meta_log.clone(),
-            node.clone(),
-            MetaReplica::default(),
-        );
-        MemFs { shared, meta, node }
+        MemFs { shared, node }
     }
 
     /// The node this mount runs on.
@@ -90,27 +91,22 @@ impl MemFs {
         &self.node
     }
 
-    /// Rebuild this mount's metadata replica by replaying the journal
+    /// Rebuild this node's metadata replica by replaying the journal
     /// (crash recovery after the node restarts, or adoption of a mount
     /// whose local replica is untrusted). Returns the number of journal
     /// entries replayed.
     ///
-    /// The recovered replica resumes at the replayed watermark, so
-    /// later [`ReplicatedHandle::sync`]s apply only genuinely new
-    /// entries — no double-apply.
+    /// The recovered replica resumes at the replayed tail, so later
+    /// catch-ups apply only genuinely new entries — no double-apply.
     ///
     /// # Errors
     ///
     /// Propagates memory errors from journal replay.
     pub fn recover(&mut self) -> Result<u64, SimError> {
-        let (replica, replayed) = crate::journal::recover_meta(&self.node, &self.shared)?;
-        let head = self.shared.meta_log.log().head(&self.node)?;
-        self.meta = ReplicatedHandle::resume(
-            self.shared.meta_log.clone(),
-            self.node.clone(),
-            replica,
-            head + replayed,
-        )?;
+        let replayed = self
+            .shared
+            .meta
+            .recover_replica(&self.node, MetaReplica::default())?;
         // cold-path: journal replay runs once per crash/restart, not per-op.
         self.node.stats().registry().add("fs", "journal_replays", 1);
         self.node
@@ -139,23 +135,32 @@ impl MemFs {
         Ok((&path[..idx], name))
     }
 
+    /// Read this node's metadata replica, caught up with the journal.
+    fn meta<R>(&self, f: impl FnOnce(&MetaReplica) -> R) -> Result<R, SimError> {
+        self.shared.meta.read(&self.node, f)
+    }
+
+    /// The inode of `path`'s parent directory (`""` is the root).
+    fn parent_ino(&self, parent_path: &str, path: &str) -> Result<u64, SimError> {
+        let parent = if parent_path.is_empty() {
+            "/"
+        } else {
+            parent_path
+        };
+        self.meta(|m| m.resolve(parent))?
+            .ok_or_else(|| SimError::Protocol(format!("parent of {path:?} not found")))
+    }
+
     fn create_kind(&mut self, path: &str, kind: FileKind) -> Result<u64, SimError> {
         let (parent_path, name) = Self::split_parent(path)?;
-        self.meta.sync()?;
-        let parent = self
-            .meta
-            .read_dirty(|m| {
-                m.resolve(if parent_path.is_empty() {
-                    "/"
-                } else {
-                    parent_path
-                })
-            })
-            .ok_or_else(|| SimError::Protocol(format!("parent of {path:?} not found")))?;
-        self.meta.execute(&op_create(parent, name, kind))?;
-        self.meta
-            .read_dirty(|m| m.lookup(parent, name))
-            .ok_or_else(|| SimError::Protocol(format!("create of {path:?} did not take effect")))
+        let parent = self.parent_ino(parent_path, path)?;
+        let (_, ino) =
+            self.shared
+                .meta
+                .update_map(&self.node, &op_create(parent, name, kind), |m| {
+                    m.lookup(parent, name)
+                })?;
+        ino.ok_or_else(|| SimError::Protocol(format!("create of {path:?} did not take effect")))
     }
 
     /// Create a regular file, returning its inode number. Idempotent.
@@ -183,18 +188,11 @@ impl MemFs {
     /// Fails on malformed paths or missing parents.
     pub fn unlink(&mut self, path: &str) -> Result<(), SimError> {
         let (parent_path, name) = Self::split_parent(path)?;
-        self.meta.sync()?;
-        let parent = self
+        let parent = self.parent_ino(parent_path, path)?;
+        self.shared
             .meta
-            .read_dirty(|m| {
-                m.resolve(if parent_path.is_empty() {
-                    "/"
-                } else {
-                    parent_path
-                })
-            })
-            .ok_or_else(|| SimError::Protocol(format!("parent of {path:?} not found")))?;
-        self.meta.execute(&op_unlink(parent, name))
+            .update(&self.node, &op_unlink(parent, name))
+            .map(drop)
     }
 
     /// Rename/move `src` to `dst` (replacing an existing destination,
@@ -206,25 +204,26 @@ impl MemFs {
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<(), SimError> {
         let (src_parent_path, src_name) = Self::split_parent(src)?;
         let (dst_parent_path, dst_name) = Self::split_parent(dst)?;
-        self.meta.sync()?;
         let resolve = |m: &MetaReplica, p: &str| m.resolve(if p.is_empty() { "/" } else { p });
-        let src_parent = self
-            .meta
-            .read_dirty(|m| resolve(m, src_parent_path))
-            .ok_or_else(|| SimError::Protocol(format!("parent of {src:?} not found")))?;
-        let dst_parent = self
-            .meta
-            .read_dirty(|m| resolve(m, dst_parent_path))
-            .ok_or_else(|| SimError::Protocol(format!("parent of {dst:?} not found")))?;
-        if self
-            .meta
-            .read_dirty(|m| m.lookup(src_parent, src_name))
-            .is_none()
-        {
+        let (src_parent, dst_parent, src_exists) = self.meta(|m| {
+            let src_parent = resolve(m, src_parent_path);
+            let src_exists = src_parent.is_some_and(|p| m.lookup(p, src_name).is_some());
+            (src_parent, resolve(m, dst_parent_path), src_exists)
+        })?;
+        let src_parent =
+            src_parent.ok_or_else(|| SimError::Protocol(format!("parent of {src:?} not found")))?;
+        let dst_parent =
+            dst_parent.ok_or_else(|| SimError::Protocol(format!("parent of {dst:?} not found")))?;
+        if !src_exists {
             return Err(SimError::Protocol(format!("rename of missing {src:?}")));
         }
-        self.meta
-            .execute(&op_rename(src_parent, src_name, dst_parent, dst_name))
+        self.shared
+            .meta
+            .update(
+                &self.node,
+                &op_rename(src_parent, src_name, dst_parent, dst_name),
+            )
+            .map(drop)
     }
 
     /// Resolve `path` to an inode number.
@@ -233,8 +232,7 @@ impl MemFs {
     ///
     /// Propagates sync errors.
     pub fn resolve(&mut self, path: &str) -> Result<Option<u64>, SimError> {
-        self.meta.sync()?;
-        Ok(self.meta.read_dirty(|m| m.resolve(path)))
+        self.meta(|m| m.resolve(path))
     }
 
     /// Attributes of the object at `path`.
@@ -243,10 +241,7 @@ impl MemFs {
     ///
     /// Propagates sync errors.
     pub fn stat(&mut self, path: &str) -> Result<Option<InodeAttr>, SimError> {
-        self.meta.sync()?;
-        Ok(self
-            .meta
-            .read_dirty(|m| m.resolve(path).and_then(|ino| m.attr(ino))))
+        self.meta(|m| m.resolve(path).and_then(|ino| m.attr(ino)))
     }
 
     /// Sorted directory listing at `path`.
@@ -255,12 +250,8 @@ impl MemFs {
     ///
     /// [`SimError::Protocol`] if `path` does not resolve.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, SimError> {
-        self.meta.sync()?;
-        let ino = self
-            .meta
-            .read_dirty(|m| m.resolve(path))
-            .ok_or_else(|| SimError::Protocol(format!("readdir of missing {path:?}")))?;
-        Ok(self.meta.read_dirty(|m| m.readdir(ino)))
+        self.meta(|m| m.resolve(path).map(|ino| m.readdir(ino)))?
+            .ok_or_else(|| SimError::Protocol(format!("readdir of missing {path:?}")))
     }
 
     /// Write `data` at byte `offset` of file `ino`, growing it as needed.
@@ -285,14 +276,14 @@ impl MemFs {
         // memory.
         cache.reclaim(&self.node)?;
         // Grow the file size if we extended it.
-        self.meta.sync()?;
         let cur = self
-            .meta
-            .read_dirty(|m| m.attr(ino).map(|a| a.size))
+            .meta(|m| m.attr(ino).map(|a| a.size))?
             .ok_or_else(|| SimError::Protocol(format!("write to unknown inode {ino}")))?;
         let end = offset + data.len() as u64;
         if end > cur {
-            self.meta.execute(&op_set_size(ino, end))?;
+            self.shared
+                .meta
+                .update(&self.node, &op_set_size(ino, end))?;
         }
         Ok(())
     }
@@ -305,10 +296,8 @@ impl MemFs {
     ///
     /// Propagates page-cache errors.
     pub fn read_at(&mut self, ino: u64, offset: u64, buf: &mut [u8]) -> Result<usize, SimError> {
-        self.meta.sync()?;
         let size = self
-            .meta
-            .read_dirty(|m| m.attr(ino).map(|a| a.size))
+            .meta(|m| m.attr(ino).map(|a| a.size))?
             .ok_or_else(|| SimError::Protocol(format!("read of unknown inode {ino}")))?;
         if offset >= size {
             return Ok(0);
@@ -364,9 +353,12 @@ impl MemFs {
     }
 
     /// Direct access to the local metadata replica (diagnostics).
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory errors from the journal catch-up.
     pub fn with_meta<T>(&mut self, f: impl FnOnce(&MetaReplica) -> T) -> Result<T, SimError> {
-        self.meta.sync()?;
-        Ok(self.meta.read_dirty(f))
+        self.meta(f)
     }
 
     /// Map the file at `path` **read-only** into `space` starting at

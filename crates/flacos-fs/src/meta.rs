@@ -7,12 +7,12 @@
 //! overhead of cache consistency assurance."*
 //!
 //! Concretely: every node holds a [`MetaReplica`] (inode table +
-//! directory tree) in ordinary local memory; mutations are appended to
-//! the shared operation log and replayed by every node in bulk at its
-//! next sync point. The same log is the write-ahead journal
-//! ([`crate::journal`]).
+//! directory tree) in ordinary local memory — its replica inside the
+//! metadata `SyncCell`; mutations are appended to the cell's shared
+//! operation log and replayed by every node in bulk at its next read.
+//! The same log is the write-ahead journal ([`crate::journal`]).
 
-use flacdk::sync::replicated::Replica;
+use flacdk::sync::SyncState;
 use flacdk::wire::{Decoder, Encoder};
 use std::collections::HashMap;
 
@@ -230,7 +230,7 @@ impl MetaReplica {
     }
 }
 
-impl Replica for MetaReplica {
+impl SyncState for MetaReplica {
     fn apply(&mut self, op: &[u8]) {
         let mut d = Decoder::new(op);
         match d.u8() {

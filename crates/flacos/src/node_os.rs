@@ -42,7 +42,7 @@ pub struct NodeOs {
 impl NodeOs {
     pub(crate) fn start(rack: FlacRack, node: Arc<NodeCtx>) -> Self {
         let fs = MemFs::mount(rack.fs_shared().clone(), node.clone());
-        let sockets = SocketRegistry::new(rack.socket_log().clone(), node.clone());
+        let sockets = SocketRegistry::new(rack.socket_table().clone(), node.clone());
         let tlb = Tlb::new(node.clone(), TLB_ENTRIES);
         let fault_handler = PageFaultHandler::new(rack.frames().clone(), PagePlacement::Global);
         let tier_config = TierConfig {

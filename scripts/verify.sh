@@ -20,6 +20,9 @@ cargo build --release --offline --workspace
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 
+echo "== perfbench tests (own workspace: an API break in crates/* surfaces here first) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench targets compile (offline, feature-gated) =="
 cargo build --offline -p bench --benches --features criterion
 

@@ -8,13 +8,13 @@
 //! and print the `(seed, case)` pair that triggered them.
 
 use flacdk::alloc::GlobalAllocator;
-use flacdk::ds::hashmap::ReplicatedKv;
 use flacdk::ds::radix::RadixTree;
 use flacdk::ds::ringbuf::SpscRing;
 use flacdk::sync::oplog::SharedOpLog;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
 use flacdk::wire::{Decoder, Encoder};
+use flacos_ipc::socket_meta::KvReplica;
 use flacos_mem::dedup::PageDeduper;
 use flacos_mem::fault::FrameAllocator;
 use flacos_mem::tlb::{shootdown_stepped, shootdown_stepped_range, Tlb};
@@ -99,33 +99,67 @@ fn ring_matches_fifo_model() {
 
 #[test]
 fn replicated_kv_converges_and_matches_model() {
+    use flacdk::sync::{SyncCell, SyncCellConfig, SyncPolicy};
     check("replicated_kv_converges_and_matches_model", |rng| {
-        let rack = small_rack();
-        let shared = ReplicatedKv::alloc_shared(rack.global(), 2, 4096, 128).unwrap();
-        let mut kv0 = ReplicatedKv::new(shared.clone(), rack.node(0));
-        let mut kv1 = ReplicatedKv::new(shared, rack.node(1));
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-
+        // One op script per case: (put?, key, value), alternating nodes.
         let ops = 1 + rng.gen_index(49);
-        for i in 0..ops {
-            let is_put = rng.gen_bool();
-            let key = rng.gen_range(0..16);
-            let vlen = rng.gen_index(24);
-            let value = rng.gen_bytes(vlen);
-            let kv = if i % 2 == 0 { &mut kv0 } else { &mut kv1 };
-            if is_put {
-                kv.put(key, &value).unwrap();
-                model.insert(key, value);
-            } else {
-                kv.del(key).unwrap();
-                model.remove(&key);
+        let script: Vec<(bool, u64, Vec<u8>)> = (0..ops)
+            .map(|_| {
+                let is_put = rng.gen_bool();
+                let key = rng.gen_range(0..16);
+                let vlen = rng.gen_index(24);
+                (is_put, key, rng.gen_bytes(vlen))
+            })
+            .collect();
+        for policy in [
+            SyncPolicy::Lock,
+            SyncPolicy::Replicated,
+            SyncPolicy::Delegated,
+            SyncPolicy::Rcu,
+            SyncPolicy::NodeReplicated,
+        ] {
+            let rack = small_rack();
+            let cell = SyncCell::alloc(
+                rack.global(),
+                "kv",
+                SyncCellConfig::new(2, policy).with_log(4096, 128),
+                KvReplica::default(),
+            )
+            .unwrap();
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            for (i, (is_put, key, value)) in script.iter().enumerate() {
+                let node = rack.node(i % 2);
+                if *is_put {
+                    cell.update(&node, &KvReplica::put_op(*key, value)).unwrap();
+                    model.insert(*key, value.clone());
+                } else {
+                    cell.update(&node, &KvReplica::del_op(*key)).unwrap();
+                    model.remove(key);
+                }
+            }
+            let snapshot = |kv: &KvReplica| -> Vec<Option<Vec<u8>>> {
+                (0..16u64).map(|k| kv.get(k).map(<[u8]>::to_vec)).collect()
+            };
+            let expect: Vec<Option<Vec<u8>>> = (0..16u64).map(|k| model.get(&k).cloned()).collect();
+            for n in 0..2 {
+                let node = rack.node(n);
+                let read = cell.read(&node, |kv| (snapshot(kv), kv.len())).unwrap();
+                assert_eq!(
+                    read,
+                    (expect.clone(), model.len()),
+                    "{policy}: read on node {n}"
+                );
+                cell.sync_replica(&node).unwrap();
+                let local = cell
+                    .read_local(&node, |kv| (snapshot(kv), kv.len()))
+                    .unwrap();
+                assert_eq!(
+                    local,
+                    (expect.clone(), model.len()),
+                    "{policy}: replica on node {n}"
+                );
             }
         }
-        for key in 0..16u64 {
-            assert_eq!(kv0.get(key).unwrap(), model.get(&key).cloned());
-            assert_eq!(kv1.get(key).unwrap(), model.get(&key).cloned());
-        }
-        assert_eq!(kv0.len().unwrap(), model.len());
     });
 }
 
