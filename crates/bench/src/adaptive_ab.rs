@@ -9,6 +9,7 @@
 //! track the best fixed policy at both ends of the sweep without
 //! thrashing in the middle.
 
+use crate::table::percentile_ns;
 use flacdk::sync::{AdaptiveConfig, SyncCell, SyncCellConfig, SyncPolicy, SyncState};
 use flacdk::wire::{Decoder, Encoder};
 use rack_sim::{Rack, RackConfig, SplitMix64};
@@ -105,14 +106,6 @@ impl AdaptiveRow {
             .max()
             .expect("fixed arms")
     }
-}
-
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Run one arm: a deterministic read/update mix issued round-robin from

@@ -13,8 +13,9 @@
 //! simulated nanoseconds charged by the two designs must be equal, and
 //! equal across thread counts. A divergence fails the `--gate` check.
 //!
-//! The `cache-scale` binary writes the results as `BENCH_cache.json`;
-//! `scripts/verify.sh` runs it in `--quick --gate` mode as a smoke test.
+//! `flac-bench cache` ([`crate::driver`]) writes the results as
+//! `BENCH_cache.json`; `scripts/verify.sh` runs it in `--quick --gate`
+//! mode as a smoke test and `--check`s the committed report.
 
 use rack_sim::cache::{CacheConfig, CacheStats, NodeCache};
 use rack_sim::sync::Mutex;
@@ -26,6 +27,11 @@ use std::time::Instant;
 
 /// Thread counts exercised by the sweep (the gate compares the ends).
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Hit ratios swept by a run (permille). The miss-heavy 500 sweep is
+/// part of *both* modes: it is the one that exposed the serialized
+/// miss path, so the smoke run must keep exercising it.
+pub const HIT_RATIOS: [u64; 2] = [950, 500];
 
 /// Minimum host CPUs for the 4x multi-thread speedup target to be
 /// physically meaningful (see [`host_cpus`]).
@@ -384,20 +390,13 @@ impl ScaleConfig {
             ..Self::full(hit_permille)
         }
     }
-
-    /// Hit ratios swept by a run (permille). The miss-heavy 500 sweep is
-    /// part of *both* modes: it is the one that exposed the serialized
-    /// miss path, so the smoke run must keep exercising it.
-    pub fn hit_ratios(_quick: bool) -> &'static [u64] {
-        &[950, 500]
-    }
 }
 
 /// Result of one (implementation, thread count) measurement.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Implementation name (`"sharded"` / `"baseline"`).
-    pub cache_impl: &'static str,
+    pub cache_impl: String,
     /// Worker threads driving the cache.
     pub threads: usize,
     /// Hit-ratio target in permille.
@@ -493,7 +492,7 @@ pub fn run_point(cache: &dyn DriverCache, cfg: ScaleConfig, threads: usize) -> S
     let total_ops: u64 = per_thread.iter().map(|(o, _)| o).sum();
     let sim_ns: u64 = per_thread.iter().map(|(_, s)| s).sum();
     ScalePoint {
-        cache_impl: cache.name(),
+        cache_impl: cache.name().to_string(),
         threads,
         hit_permille: cfg.hit_permille,
         total_ops,
@@ -554,37 +553,33 @@ pub struct ScaleSummary {
     pub sim_ns_parity: bool,
 }
 
-/// Compute the gate metrics from a sweep's points.
-///
-/// # Panics
-///
-/// Panics if `points` lacks a (sharded, baseline) pair at some thread
-/// count — `run_sweep` always produces matched pairs.
-pub fn summarize(points: &[ScalePoint]) -> ScaleSummary {
+/// Compute the gate metrics from one hit ratio's points; `None` when
+/// some sharded point (or the 1-thread or top pair) lacks its partner.
+pub fn summarize(points: &[ScalePoint]) -> Option<ScaleSummary> {
     let get = |name: &str, threads: usize| {
         points
             .iter()
             .find(|p| p.cache_impl == name && p.threads == threads)
-            .expect("matched pair per thread count")
     };
-    let top = points.iter().map(|p| p.threads).max().unwrap_or(1);
-    let parity = points
-        .iter()
-        .filter(|p| p.cache_impl == "sharded")
-        .all(|p| p.sim_ns == get("baseline", p.threads).sim_ns);
-    let min_ratio = points
-        .iter()
-        .filter(|p| p.cache_impl == "sharded")
-        .map(|p| p.ops_per_sec / get("baseline", p.threads).ops_per_sec)
-        .fold(f64::INFINITY, f64::min);
-    ScaleSummary {
-        hit_permille: points.first().map(|p| p.hit_permille).unwrap_or(0),
-        single_thread_ratio: get("sharded", 1).ops_per_sec / get("baseline", 1).ops_per_sec,
-        speedup_top: get("sharded", top).ops_per_sec / get("baseline", top).ops_per_sec,
+    let ratio = |threads: usize| {
+        Some(get("sharded", threads)?.ops_per_sec / get("baseline", threads)?.ops_per_sec)
+    };
+    let top = points.iter().map(|p| p.threads).max()?;
+    let mut parity = true;
+    let mut min_ratio = f64::INFINITY;
+    for p in points.iter().filter(|p| p.cache_impl == "sharded") {
+        let base = get("baseline", p.threads)?;
+        parity &= p.sim_ns == base.sim_ns;
+        min_ratio = min_ratio.min(p.ops_per_sec / base.ops_per_sec);
+    }
+    Some(ScaleSummary {
+        hit_permille: points[0].hit_permille,
+        single_thread_ratio: ratio(1)?,
+        speedup_top: ratio(top)?,
         top_threads: top,
         min_thread_ratio: min_ratio,
         sim_ns_parity: parity,
-    }
+    })
 }
 
 /// CPUs the benchmark process may actually run on.
@@ -657,28 +652,15 @@ pub fn to_json(sweeps: &[(Vec<ScalePoint>, ScaleSummary)], quick: bool, cpus: us
     out
 }
 
-/// One `results[]` entry re-read from a report on disk.
-#[derive(Debug, Clone)]
-pub struct ParsedPoint {
-    /// Implementation name (`"sharded"` / `"baseline"`).
-    pub cache_impl: String,
-    /// Worker threads driving the cache.
-    pub threads: usize,
-    /// Hit-ratio target in permille.
-    pub hit_permille: u64,
-    /// Aggregate throughput, operations per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Total simulated nanoseconds charged.
-    pub sim_ns: u64,
-}
-
 /// A `BENCH_cache.json` report re-read from disk (see [`parse_report`]).
 #[derive(Debug, Clone)]
 pub struct ParsedReport {
     /// Whether the report came from a `--quick` smoke run.
     pub quick: bool,
+    /// CPUs the measuring host granted (arms the speedup target).
+    pub host_cpus: usize,
     /// Every measurement point, in report order.
-    pub points: Vec<ParsedPoint>,
+    pub points: Vec<ScalePoint>,
 }
 
 /// Re-read a report produced by [`to_json`]. Hand-rolled like the writer
@@ -687,15 +669,33 @@ pub struct ParsedReport {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line or missing field.
+/// Returns a description of the first missing field or malformed line.
 pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
+    crate::report::require_fields(
+        json,
+        &[
+            "bench",
+            "targets",
+            "results",
+            "summaries",
+            "ops_per_sec",
+            "sim_ns",
+            "single_thread_ratio",
+            "speedup_top",
+            "sim_ns_parity",
+            "host_cpus",
+        ],
+    )?;
     let quick = crate::report::parse_quick(json)?;
+    let host_cpus = crate::report::object_with(json, "host_cpus")?.usize_field("host_cpus")?;
     let mut points = Vec::new();
     for obj in crate::report::objects_with(json, "impl") {
-        points.push(ParsedPoint {
+        points.push(ScalePoint {
             cache_impl: obj.str_field("impl")?,
             threads: obj.usize_field("threads")?,
             hit_permille: obj.u64_field("hit_permille")?,
+            total_ops: obj.u64_field("total_ops")?,
+            elapsed_ns: obj.u64_field("elapsed_ns")?,
             ops_per_sec: obj.f64_field("ops_per_sec")?,
             sim_ns: obj.u64_field("sim_ns")?,
         });
@@ -703,32 +703,29 @@ pub fn parse_report(json: &str) -> Result<ParsedReport, String> {
     if points.is_empty() {
         return Err("no results[] entries found".into());
     }
-    Ok(ParsedReport { quick, points })
+    Ok(ParsedReport {
+        quick,
+        host_cpus,
+        points,
+    })
 }
 
-/// The strict acceptance check applied to the *committed*
-/// `BENCH_cache.json` (the `--check` mode of the `cache-scale` binary).
-/// Recomputes every ratio from the raw points rather than trusting the
-/// report's own summary block. Requirements:
+/// The smoke invariants (`--gate`), recomputed from the raw points
+/// rather than trusting the report's own summary block:
 ///
-/// * full (non-quick) run with a (sharded, baseline) pair at every
-///   (threads, hit ratio) point;
-/// * `sim_ns` parity between the implementations at every point;
-/// * miss-heavy sweep present (`hit_permille = 500`) and the sharded
-///   cache at least as fast as the baseline at **every** thread count
-///   there — including single-threaded (`single_thread_ratio ≥ 1.0`).
+/// * a (sharded, baseline) pair with equal `sim_ns` at every point;
+/// * single-thread sharded/baseline throughput ≥ 0.80 (machine-noise
+///   tolerance; the full run documents the 5 % target);
+/// * ≥ 4x at the top thread count, armed only on hosts with
+///   [`SPEEDUP_TARGET_MIN_CPUS`] CPUs;
+/// * miss-heavy (`hit_permille = 500`) ratio ≥ 0.90 at every thread
+///   count (the strict ≥ 1.0 is [`check`]'s).
 ///
 /// Returns the list of failures (empty = pass).
-pub fn check_report(report: &ParsedReport) -> Vec<String> {
+pub fn gate(report: &ParsedReport) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.quick {
-        failures.push("committed report must come from a full run, not --quick".into());
-    }
-    let mut saw_miss_heavy = false;
     for p in report.points.iter().filter(|p| p.cache_impl == "sharded") {
-        let Some(base) = report.points.iter().find(|q| {
-            q.cache_impl == "baseline" && q.threads == p.threads && q.hit_permille == p.hit_permille
-        }) else {
+        let Some(base) = baseline_of(report, p) else {
             failures.push(format!(
                 "no baseline point pairs (threads={}, hit_permille={})",
                 p.threads, p.hit_permille
@@ -741,24 +738,127 @@ pub fn check_report(report: &ParsedReport) -> Vec<String> {
                 p.threads, p.hit_permille, p.sim_ns, base.sim_ns
             ));
         }
-        if p.hit_permille == 500 {
-            saw_miss_heavy = true;
-            if p.ops_per_sec < base.ops_per_sec {
-                failures.push(format!(
-                    "miss-heavy sweep: sharded loses to baseline at {} thread(s) \
-                     ({:.0} vs {:.0} ops/s, ratio {:.3} < 1.0)",
-                    p.threads,
-                    p.ops_per_sec,
-                    base.ops_per_sec,
-                    p.ops_per_sec / base.ops_per_sec
-                ));
-            }
+    }
+    let mut hits: Vec<u64> = report.points.iter().map(|p| p.hit_permille).collect();
+    hits.sort_unstable();
+    hits.dedup();
+    for hit in hits {
+        let sweep: Vec<ScalePoint> = report
+            .points
+            .iter()
+            .filter(|p| p.hit_permille == hit)
+            .cloned()
+            .collect();
+        let Some(s) = summarize(&sweep) else {
+            failures.push(format!(
+                "hit_permille={hit}: sweep lacks a (sharded, baseline) pair to summarize"
+            ));
+            continue;
+        };
+        if !s.sim_ns_parity {
+            failures.push(format!(
+                "hit_permille={}: sharded and baseline charged different simulated ns \
+                 for the identical workload",
+                s.hit_permille
+            ));
+        }
+        if s.single_thread_ratio < 0.80 {
+            failures.push(format!(
+                "hit_permille={}: single-thread throughput ratio {:.3} < 0.80",
+                s.hit_permille, s.single_thread_ratio
+            ));
+        }
+        // Parallel wall-clock speedup needs CPUs to run on: a 1-CPU CI
+        // container time-slices all 8 threads onto one core, capping
+        // aggregate throughput at per-op efficiency.
+        let cpus = report.host_cpus;
+        if cpus >= SPEEDUP_TARGET_MIN_CPUS && s.speedup_top < 4.0 {
+            failures.push(format!(
+                "hit_permille={}: speedup {:.2} at {} threads < 4.0 on a {cpus}-CPU host",
+                s.hit_permille, s.speedup_top, s.top_threads
+            ));
+        }
+        // Per-op efficiency, not parallel speedup: armed on any host.
+        if s.hit_permille == 500 && s.min_thread_ratio < 0.90 {
+            failures.push(format!(
+                "hit_permille=500: sharded/baseline ratio {:.3} < 0.90 at some thread count \
+                 — the miss path is losing to the single-mutex baseline",
+                s.min_thread_ratio
+            ));
+        }
+    }
+    failures
+}
+
+/// The baseline point measured against sharded point `p`.
+fn baseline_of<'a>(report: &'a ParsedReport, p: &ScalePoint) -> Option<&'a ScalePoint> {
+    report.points.iter().find(|q| {
+        q.cache_impl == "baseline" && q.threads == p.threads && q.hit_permille == p.hit_permille
+    })
+}
+
+/// The strict acceptance check applied to the *committed*
+/// `BENCH_cache.json` (`flac-bench cache --check`): a full (non-quick)
+/// run whose miss-heavy sweep (`hit_permille = 500`) is present and has
+/// the sharded cache at least as fast as the baseline at **every**
+/// thread count — no noise tolerance, the committed artifact is
+/// best-of-reps — plus every [`gate`] invariant.
+///
+/// Returns the list of failures (empty = pass).
+pub fn check(report: &ParsedReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.quick {
+        failures.push("committed report must come from a full run, not --quick".into());
+    }
+    let mut saw_miss_heavy = false;
+    for p in report
+        .points
+        .iter()
+        .filter(|p| p.cache_impl == "sharded" && p.hit_permille == 500)
+    {
+        let Some(base) = baseline_of(report, p) else {
+            continue;
+        };
+        saw_miss_heavy = true;
+        if p.ops_per_sec < base.ops_per_sec {
+            failures.push(format!(
+                "miss-heavy sweep: sharded loses to baseline at {} thread(s) \
+                 ({:.0} vs {:.0} ops/s, ratio {:.3} < 1.0)",
+                p.threads,
+                p.ops_per_sec,
+                base.ops_per_sec,
+                p.ops_per_sec / base.ops_per_sec
+            ));
         }
     }
     if !saw_miss_heavy {
         failures.push("report lacks the miss-heavy (hit_permille=500) sweep".into());
     }
+    failures.extend(gate(report));
     failures
+}
+
+/// Sweep [`THREAD_SWEEP`] at every [`HIT_RATIOS`] entry, printing each
+/// point, and render the report.
+pub fn run(quick: bool) -> String {
+    let cpus = host_cpus();
+    println!("  threads {THREAD_SWEEP:?}, hit ratios (permille) {HIT_RATIOS:?}, host CPUs {cpus}");
+    let mut sweeps = Vec::new();
+    for hit_permille in HIT_RATIOS {
+        let cfg = if quick {
+            ScaleConfig::quick(hit_permille)
+        } else {
+            ScaleConfig::full(hit_permille)
+        };
+        let points = run_sweep(cfg, &THREAD_SWEEP);
+        for p in &points {
+            println!("  {p:?}");
+        }
+        let s = summarize(&points).expect("run_sweep measures matched pairs");
+        println!("  {s:?}");
+        sweeps.push((points, s));
+    }
+    to_json(&sweeps, quick, cpus)
 }
 
 #[cfg(test)]
@@ -797,7 +897,7 @@ mod tests {
             reps: 1,
         };
         let points = run_sweep(cfg, &[1, 2]);
-        let s = summarize(&points);
+        let s = summarize(&points).expect("matched pairs");
         assert!(s.sim_ns_parity, "identical workloads must charge equally");
         assert_eq!(s.top_threads, 2);
         assert!(s.single_thread_ratio > 0.0);
@@ -821,8 +921,8 @@ mod tests {
     /// Build a minimal synthetic report through the real writer so the
     /// parser/checker tests cover the actual on-disk shape.
     fn synthetic_report(quick: bool, miss_heavy_sharded_ops: f64) -> String {
-        let mk = |cache_impl: &'static str, threads, hit_permille, ops| ScalePoint {
-            cache_impl,
+        let mk = |cache_impl: &str, threads, hit_permille, ops| ScalePoint {
+            cache_impl: cache_impl.to_string(),
             threads,
             hit_permille,
             total_ops: 1000,
@@ -838,8 +938,8 @@ mod tests {
             mk("sharded", 1, 950, 2_000.0),
             mk("baseline", 1, 950, 1_500.0),
         ];
-        let s950 = summarize(&sweep950);
-        let s500 = summarize(&sweep500);
+        let s950 = summarize(&sweep950).unwrap();
+        let s500 = summarize(&sweep500).unwrap();
         to_json(&[(sweep950, s950), (sweep500, s500)], quick, 1)
     }
 
@@ -859,24 +959,25 @@ mod tests {
     #[test]
     fn check_report_accepts_winning_full_run() {
         let parsed = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
-        assert_eq!(check_report(&parsed), Vec::<String>::new());
+        assert_eq!(check(&parsed), Vec::<String>::new());
     }
 
     #[test]
     fn check_report_rejects_miss_heavy_loss_and_quick_runs() {
         let losing = parse_report(&synthetic_report(false, 900.0)).unwrap();
-        let failures = check_report(&losing);
+        let failures = check(&losing);
         assert!(
             failures.iter().any(|f| f.contains("loses to baseline")),
             "expected a miss-heavy loss failure, got {failures:?}"
         );
 
         let quick = parse_report(&synthetic_report(true, 1_100.0)).unwrap();
-        assert!(check_report(&quick).iter().any(|f| f.contains("full run")));
+        assert!(check(&quick).iter().any(|f| f.contains("full run")));
+        assert!(gate(&quick).is_empty(), "a quick run passes the smoke gate");
 
         let mut no_miss_heavy = parse_report(&synthetic_report(false, 1_100.0)).unwrap();
         no_miss_heavy.points.retain(|p| p.hit_permille != 500);
-        assert!(check_report(&no_miss_heavy)
+        assert!(check(&no_miss_heavy)
             .iter()
             .any(|f| f.contains("miss-heavy")));
     }

@@ -2,10 +2,10 @@
 //! plus the ablations DESIGN.md commits to.
 //!
 //! Each experiment module returns structured rows; the `figures` binary
-//! prints them as the paper-style tables, and the bench targets in
-//! `benches/` (built with `--features criterion`, running on the vendored
-//! [`harness`] module) wrap the same entry points so `cargo bench`
-//! exercises the identical code paths.
+//! prints them as the paper-style tables. The five scale benchmarks
+//! (`*_scale`) write the committed `BENCH_<name>.json` reports through
+//! one driver, [`driver`] (the `flac-bench` binary), which also gates
+//! smoke runs and checks the committed reports.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -20,17 +20,19 @@
 //! | [`tiering_ab`] | Ablation A7 — page tiering daemon off vs on |
 //! | [`adaptive_ab`] | Ablation A8 — fixed sync policies vs adaptive driver |
 //! | [`cache_scale`] | §2 cache internals — sharded vs single-mutex, wall-clock |
-//! | [`serve_scale`] | §4 serving at scale — `flac-loadgen` open-loop sweep |
+//! | [`serve_scale`] | §4 serving at scale — open-loop loadgen sweep |
+//! | [`store_scale`] | §4.2 chunk store — shard scaling and overlap dedup |
+//! | [`sync_scale`] | §3.2 — node-replicated vs delegated writers (A10) |
 //! | [`topo_scale`] | §2.1/§3.3 — topology depth × page size, 1 shootdown per 2 MiB |
 
 pub mod adaptive_ab;
 pub mod cache_scale;
 pub mod dedup_ab;
+pub mod driver;
 pub mod fabric_ab;
 pub mod faultbox_ab;
 pub mod faultstorm;
 pub mod fig4;
-pub mod harness;
 pub mod ipc_ab;
 pub mod pagecache_ab;
 pub mod report;

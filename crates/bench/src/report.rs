@@ -1,12 +1,11 @@
 //! Shared parsing helpers for the committed benchmark reports.
 //!
-//! Every bench writer in this crate emits the same hand-rolled JSON
-//! shape (hermetic workspace — no serde): human-readable framing with
-//! exactly one object per line inside the result arrays. That makes
-//! line-wise key extraction exact, and all three `--check` readers
-//! (`flac-cache-scale`, `flac-loadgen`, `flac-store-scale`,
-//! `flac-sync-scale`) share this module instead of each carrying its
-//! own copy of the same string surgery.
+//! Every scenario of the `flac-bench` driver emits the same hand-rolled
+//! JSON shape (hermetic workspace — no serde): human-readable framing
+//! with exactly one object per line inside the result arrays. That
+//! makes line-wise key extraction exact, and all five `parse_report`
+//! readers (cache, serve, store, sync, topo) share this module instead
+//! of each carrying its own copy of the same string surgery.
 
 /// Extract the raw value token of `"key": value` from a one-line JSON
 /// object fragment (quotes stripped, `,`/`}` terminated).
@@ -29,6 +28,20 @@ pub fn parse_quick(json: &str) -> Result<bool, String> {
         .find_map(|l| field(l, "quick").filter(|_| l.trim_start().starts_with("\"quick\"")))
         .map(|v| v == "true")
         .ok_or_else(|| "missing \"quick\" field".into())
+}
+
+/// Fail on the first key of `fields` that `json` does not contain.
+///
+/// # Errors
+///
+/// Names the missing field.
+pub fn require_fields(json: &str, fields: &[&str]) -> Result<(), String> {
+    for f in fields {
+        if !json.contains(&format!("\"{f}\"")) {
+            return Err(format!("report is missing the \"{f}\" field"));
+        }
+    }
+    Ok(())
 }
 
 /// One result-array line, with typed field accessors that name the

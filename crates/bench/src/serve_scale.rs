@@ -1,5 +1,5 @@
-//! `bench::serve_scale` — the `flac-loadgen` heavy-traffic serving
-//! benchmark (ROADMAP item 1).
+//! `bench::serve_scale` — the open-loop heavy-traffic serving
+//! benchmark.
 //!
 //! An **open-loop**, multi-node load generator: it simulates `clients`
 //! concurrent users (100 k – 1 M in the committed sweep) whose aggregate
@@ -21,10 +21,11 @@
 //! the run is only `parity = true` if both runs produce bit-identical
 //! latency streams — the simulated-time determinism gate.
 //!
-//! The `flac-loadgen` binary writes `BENCH_serve.json`;
+//! `flac-bench serve` ([`crate::driver`]) writes `BENCH_serve.json`;
 //! `scripts/verify.sh` runs `--quick --gate` as a smoke test and
 //! `--check BENCH_serve.json` against the committed report.
 
+use crate::table::percentile_ns;
 use flacdk::alloc::GlobalAllocator;
 use flacos_ipc::channel::FlacChannel;
 use flacos_ipc::netstack::{NetConfig, NetPair};
@@ -131,7 +132,7 @@ impl ServeConfig {
     }
 
     /// Client scales swept by a run. The committed report must carry at
-    /// least three scales (enforced by [`check_report`]).
+    /// least three scales (enforced by [`check`]).
     pub fn scales(quick: bool) -> &'static [u64] {
         if quick {
             &[2_000, 10_000, 50_000]
@@ -150,7 +151,7 @@ impl ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ServePoint {
     /// Transport label (`"flacos-ipc"` / `"tcp/ip"`).
-    pub transport: &'static str,
+    pub transport: String,
     /// Simulated clients.
     pub clients: u64,
     /// Transport connections used.
@@ -206,15 +207,6 @@ struct RawPoint {
     backpressure: u64,
     achieved_rps: f64,
     saturation_rps: f64,
-}
-
-/// Exact percentile over a sorted latency sample.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Deterministic workload generator shared by both phases.
@@ -573,7 +565,7 @@ fn run_transport_point<T: Transport>(
     let mut sorted = first.latencies.clone();
     sorted.sort_unstable();
     Ok(ServePoint {
-        transport: label,
+        transport: label.to_string(),
         clients: cfg.clients,
         connections: cfg.connections,
         requests: first.latencies.len() as u64,
@@ -645,38 +637,13 @@ pub fn to_json(points: &[ServePoint], quick: bool) -> String {
     out
 }
 
-/// One `results[]` entry re-read from a report on disk.
-#[derive(Debug, Clone)]
-pub struct ParsedServePoint {
-    /// Transport label.
-    pub transport: String,
-    /// Simulated clients.
-    pub clients: u64,
-    /// Open-loop requests completed.
-    pub requests: u64,
-    /// RESP-error replies.
-    pub errors: u64,
-    /// Latency percentiles (sim ns).
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Maximum latency.
-    pub max_ns: u64,
-    /// Saturation throughput (requests per sim second).
-    pub saturation_rps: f64,
-    /// Seeded-rerun parity.
-    pub parity: bool,
-}
-
 /// A `BENCH_serve.json` report re-read from disk.
 #[derive(Debug, Clone)]
 pub struct ParsedServeReport {
     /// Whether the report came from a `--quick` smoke run.
     pub quick: bool,
     /// Every measurement point, in report order.
-    pub points: Vec<ParsedServePoint>,
+    pub points: Vec<ServePoint>,
 }
 
 /// Re-read a report produced by [`to_json`], via the shared
@@ -689,16 +656,21 @@ pub fn parse_report(json: &str) -> Result<ParsedServeReport, String> {
     let quick = crate::report::parse_quick(json)?;
     let mut points = Vec::new();
     for obj in crate::report::objects_with(json, "transport") {
-        points.push(ParsedServePoint {
+        points.push(ServePoint {
             transport: obj.str_field("transport")?,
             clients: obj.u64_field("clients")?,
+            connections: obj.usize_field("connections")?,
             requests: obj.u64_field("requests")?,
             errors: obj.u64_field("errors")?,
+            offered_rps: obj.f64_field("offered_rps")?,
+            achieved_rps: obj.f64_field("achieved_rps")?,
             p50_ns: obj.u64_field("p50_ns")?,
             p99_ns: obj.u64_field("p99_ns")?,
             p999_ns: obj.u64_field("p999_ns")?,
             max_ns: obj.u64_field("max_ns")?,
             saturation_rps: obj.f64_field("saturation_rps")?,
+            backpressure: obj.u64_field("backpressure")?,
+            fingerprint: obj.u64_field("fingerprint")?,
             parity: obj.bool_field("parity")?,
         });
     }
@@ -708,31 +680,19 @@ pub fn parse_report(json: &str) -> Result<ParsedServeReport, String> {
     Ok(ParsedServeReport { quick, points })
 }
 
-/// The strict acceptance check applied to the committed
-/// `BENCH_serve.json` (the `--check` mode of `flac-loadgen`).
-/// Everything here is simulated-time-derived and therefore exactly
-/// reproducible, so the gates are strict:
+/// The per-point and per-scale invariants every report must hold
+/// (`--gate`, and part of [`check`]). Everything here is
+/// simulated-time-derived and therefore exactly reproducible, so the
+/// gates are strict:
 ///
-/// * full (non-quick) run, both transports at ≥ 3 client scales;
 /// * zero RESP errors, `parity = true` at every point;
 /// * percentiles ordered (`p50 ≤ p99 ≤ p999 ≤ max`), all nonzero;
-/// * FlacOS IPC p50 strictly beats TCP/IP at every scale;
-/// * FlacOS saturation throughput ≥ TCP/IP saturation throughput.
+/// * both transports at every scale, FlacOS IPC p50 strictly beating
+///   TCP/IP and FlacOS saturation throughput ≥ TCP/IP's.
 ///
 /// Returns the list of failures (empty = pass).
-pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
+pub fn gate(report: &ParsedServeReport) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.quick {
-        failures.push("committed report must come from a full run, not --quick".into());
-    }
-    let mut scales: Vec<u64> = report.points.iter().map(|p| p.clients).collect();
-    scales.sort_unstable();
-    scales.dedup();
-    if scales.len() < 3 {
-        failures.push(format!(
-            "report must cover >= 3 client scales, found {scales:?}"
-        ));
-    }
     for p in &report.points {
         if p.errors != 0 {
             failures.push(format!(
@@ -759,7 +719,7 @@ pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
             ));
         }
     }
-    for &scale in &scales {
+    for scale in scales(report) {
         let find = |t: &str| {
             report
                 .points
@@ -786,6 +746,60 @@ pub fn check_report(report: &ParsedServeReport) -> Vec<String> {
         }
     }
     failures
+}
+
+/// The distinct client scales of `report`, ascending.
+fn scales(report: &ParsedServeReport) -> Vec<u64> {
+    let mut scales: Vec<u64> = report.points.iter().map(|p| p.clients).collect();
+    scales.sort_unstable();
+    scales.dedup();
+    scales
+}
+
+/// The strict acceptance check applied to the committed
+/// `BENCH_serve.json` (`flac-bench serve --check`): a full (non-quick)
+/// run at ≥ 3 client scales, plus every [`gate`] invariant.
+///
+/// Returns the list of failures (empty = pass).
+pub fn check(report: &ParsedServeReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.quick {
+        failures.push("committed report must come from a full run, not --quick".into());
+    }
+    let scales = scales(report);
+    if scales.len() < 3 {
+        failures.push(format!(
+            "report must cover >= 3 client scales, found {scales:?}"
+        ));
+    }
+    failures.extend(gate(report));
+    failures
+}
+
+/// Sweep [`ServeConfig::scales`] over both transports, printing each
+/// point, and render the report.
+///
+/// # Errors
+///
+/// A simulation that failed at some scale.
+pub fn run(quick: bool) -> Result<String, String> {
+    let scales = ServeConfig::scales(quick);
+    println!("  client scales {scales:?}, both transports, open loop + saturation");
+    let mut points = Vec::new();
+    for &clients in scales {
+        let cfg = if quick {
+            ServeConfig::quick(clients)
+        } else {
+            ServeConfig::full(clients)
+        };
+        let scale_points =
+            run_scale(&cfg).map_err(|e| format!("{clients} clients: simulation failed: {e}"))?;
+        for p in &scale_points {
+            println!("  {p:?}");
+        }
+        points.extend(scale_points);
+    }
+    Ok(to_json(&points, quick))
 }
 
 #[cfg(test)]
@@ -846,13 +860,13 @@ mod tests {
         let parsed = parse_report(&json).expect("writer output parses");
         assert!(!parsed.quick);
         assert_eq!(parsed.points.len(), 6);
-        assert_eq!(check_report(&parsed), Vec::<String>::new());
+        assert_eq!(check(&parsed), Vec::<String>::new());
     }
 
     #[test]
     fn checker_rejects_quick_errors_and_parity_violations() {
         let p = ServePoint {
-            transport: "flacos-ipc",
+            transport: "flacos-ipc".into(),
             clients: 100,
             connections: 2,
             requests: 10,
@@ -868,8 +882,8 @@ mod tests {
             fingerprint: 1,
             parity: true,
         };
-        let mk = |transport, clients, errors, parity, p50| ServePoint {
-            transport,
+        let mk = |transport: &str, clients, errors, parity, p50| ServePoint {
+            transport: transport.into(),
             clients,
             errors,
             parity,
@@ -885,7 +899,7 @@ mod tests {
             mk("tcp/ip", 300, 0, true, 50),
         ];
         let parsed = parse_report(&to_json(&points, true)).unwrap();
-        let failures = check_report(&parsed);
+        let failures = check(&parsed);
         assert!(failures.iter().any(|f| f.contains("--quick")));
         assert!(failures.iter().any(|f| f.contains("RESP error")));
         assert!(failures.iter().any(|f| f.contains("did not reproduce")));

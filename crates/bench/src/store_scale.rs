@@ -1,4 +1,4 @@
-//! `flac-store-scale` — shard-scaling and dedup gate for the chunk store.
+//! `flac-bench store` — shard-scaling and dedup gate for the chunk store.
 //!
 //! Two deterministic phases, both in *simulated* time (the store charges
 //! every fetch/claim/intern against the rack clock, so there is no
@@ -18,7 +18,7 @@
 //!   byte size of B's unique chunks absent after A, exactly.
 //!
 //! The committed artifact is `BENCH_store.json`; `--check` re-reads it
-//! and enforces the strict acceptance targets (see [`check_report`]).
+//! and enforces the strict acceptance targets (see [`check`]).
 
 use flac_store::{BackendConfig, ChunkStore, ShardedBackends, StoreConfig, CHUNK_SIZE};
 use flacos_mem::dedup::PageDeduper;
@@ -278,8 +278,20 @@ pub struct ParsedStoreReport {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line or missing field.
+/// Returns a description of the first missing field or malformed line.
 pub fn parse_report(json: &str) -> Result<ParsedStoreReport, String> {
+    crate::report::require_fields(
+        json,
+        &[
+            "bench",
+            "targets",
+            "shard_sweep",
+            "cold_fetch_ns",
+            "cold_fetch_ns_rerun",
+            "overlap",
+            "unique_missing_bytes",
+        ],
+    )?;
     let quick = crate::report::parse_quick(json)?;
     let mut points = Vec::new();
     for obj in crate::report::objects_with(json, "shards") {
@@ -312,10 +324,13 @@ pub fn parse_report(json: &str) -> Result<ParsedStoreReport, String> {
     })
 }
 
-/// The deterministic invariants both the smoke gate and the strict
-/// check enforce: every quantity is simulated time or exact chunk
-/// accounting, so there is no noise tolerance anywhere.
-fn invariant_failures(points: &[ShardPoint], overlap: &OverlapPoint) -> Vec<String> {
+/// The smoke gate (`--gate`): every deterministic invariant, enforced
+/// by the strict check too. Every quantity is simulated time or exact
+/// chunk accounting, so there is no noise tolerance anywhere. Quick
+/// runs pass; the speedup floor is reserved for the committed full run,
+/// whose larger image amortizes per-request latency.
+pub fn gate(report: &ParsedStoreReport) -> Vec<String> {
+    let (points, overlap) = (&report.points, &report.overlap);
     let mut failures = Vec::new();
     for need in SHARD_SWEEP {
         if !points.iter().any(|p| p.shards == need) {
@@ -378,30 +393,8 @@ fn invariant_failures(points: &[ShardPoint], overlap: &OverlapPoint) -> Vec<Stri
     failures
 }
 
-/// The smoke gate (`--gate`): JSON shape plus every deterministic
-/// invariant. Quick runs pass; the speedup floor is reserved for the
-/// committed full run, whose larger image amortizes per-request latency.
-pub fn gate_failures(points: &[ShardPoint], overlap: &OverlapPoint, json: &str) -> Vec<String> {
-    let mut failures = Vec::new();
-    for need in [
-        "\"bench\"",
-        "\"targets\"",
-        "\"shard_sweep\"",
-        "\"cold_fetch_ns\"",
-        "\"cold_fetch_ns_rerun\"",
-        "\"overlap\"",
-        "\"unique_missing_bytes\"",
-    ] {
-        if !json.contains(need) {
-            failures.push(format!("report is missing the {need} field"));
-        }
-    }
-    failures.extend(invariant_failures(points, overlap));
-    failures
-}
-
 /// The strict acceptance check applied to the *committed*
-/// `BENCH_store.json` (the `--check` mode of `flac-store-scale`):
+/// `BENCH_store.json` (`flac-bench store --check`):
 ///
 /// * full (non-quick) run covering the 1/4/8 shard sweep;
 /// * cold fetch time strictly improving 1 → 4 → 8 shards, with
@@ -412,12 +405,12 @@ pub fn gate_failures(points: &[ShardPoint], overlap: &OverlapPoint, json: &str) 
 ///   exactly (acceptance criterion (b)).
 ///
 /// Returns the list of failures (empty = pass).
-pub fn check_report(report: &ParsedStoreReport) -> Vec<String> {
+pub fn check(report: &ParsedStoreReport) -> Vec<String> {
     let mut failures = Vec::new();
     if report.quick {
         failures.push("committed report must come from a full run, not --quick".into());
     }
-    failures.extend(invariant_failures(&report.points, &report.overlap));
+    failures.extend(gate(report));
     let serial = report.points.iter().find(|p| p.shards == 1);
     let top = report.points.iter().max_by_key(|p| p.shards);
     if let (Some(serial), Some(top)) = (serial, top) {
@@ -432,15 +425,32 @@ pub fn check_report(report: &ParsedStoreReport) -> Vec<String> {
     failures
 }
 
+/// Run the shard sweep and the overlap phase, printing each point, and
+/// render the report.
+pub fn run(quick: bool) -> String {
+    let cfg = if quick {
+        StoreScaleConfig::quick()
+    } else {
+        StoreScaleConfig::full()
+    };
+    println!("  image {} pages x {} layers", cfg.pages, cfg.layers);
+    let points = run_shard_sweep(cfg);
+    for p in &points {
+        println!("  {p:?}");
+    }
+    let overlap = run_overlap(cfg);
+    println!("  {overlap:?}");
+    to_json(&points, &overlap, quick)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_sweep_is_monotonic_deterministic_and_warm_wins() {
-        let points = run_shard_sweep(StoreScaleConfig::quick());
-        let overlap = run_overlap(StoreScaleConfig::quick());
-        let failures = gate_failures(&points, &overlap, &to_json(&points, &overlap, true));
+        let report = parse_report(&run(true)).expect("parse");
+        let failures = gate(&report);
         assert!(failures.is_empty(), "gate failures: {failures:?}");
     }
 
@@ -478,14 +488,12 @@ mod tests {
         let overlap = run_overlap(StoreScaleConfig::quick());
         let quick_json = to_json(&points, &overlap, true);
         let parsed = parse_report(&quick_json).expect("parse");
-        assert!(check_report(&parsed).iter().any(|f| f.contains("--quick")));
+        assert!(check(&parsed).iter().any(|f| f.contains("--quick")));
 
         let mut broken = parsed.clone();
         broken.quick = false;
         broken.points[2].cold_fetch_ns = broken.points[0].cold_fetch_ns + 1;
         broken.points[2].cold_fetch_ns_rerun = broken.points[2].cold_fetch_ns;
-        assert!(check_report(&broken)
-            .iter()
-            .any(|f| f.contains("monotonic")));
+        assert!(check(&broken).iter().any(|f| f.contains("monotonic")));
     }
 }

@@ -1,4 +1,4 @@
-//! `flac-sync-scale` — writer-scaling gate for the node-replicated
+//! `flac-bench sync` — writer-scaling gate for the node-replicated
 //! `SyncCell` tier (ablation A10).
 //!
 //! §3.2's coordination story ends with a write-side question: once
@@ -325,7 +325,7 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 }
 
 /// Deterministic invariants enforced by `--gate` and re-enforced by
-/// `--check` on the committed report:
+/// [`check`] on the committed report:
 ///
 /// * rerun parity at every point;
 /// * node-replicated ≤ delegated ns/op at **every** multi-writer point
@@ -333,7 +333,8 @@ pub fn run_numa_probe(rounds: usize) -> (u64, u64) {
 /// * node-replicated strictly faster on the pure-write sweep at ≥ 2 of
 ///   the {2, 4, 8}-writer points;
 /// * the replica-hit read path performed exactly 0 fabric operations.
-pub fn gate_failures(points: &[SyncPoint], replica_hit_fabric_ops: u64) -> Vec<String> {
+pub fn gate(report: &ParsedSyncReport) -> Vec<String> {
+    let (points, replica_hit_fabric_ops) = (&report.points, report.replica_hit_fabric_ops);
     let mut failures = Vec::new();
     for p in points {
         if !p.parity() {
@@ -461,9 +462,9 @@ pub fn parse_report(json: &str) -> Result<ParsedSyncReport, String> {
 }
 
 /// The strict acceptance check applied to the committed
-/// `BENCH_sync.json` (the `--check` mode of `flac-sync-scale`):
-/// full run, full sweep coverage, and every gate invariant.
-pub fn check_report(report: &ParsedSyncReport) -> Vec<String> {
+/// `BENCH_sync.json` (`flac-bench sync --check`): full run, full sweep
+/// coverage, and every [`gate`] invariant.
+pub fn check(report: &ParsedSyncReport) -> Vec<String> {
     let mut failures = Vec::new();
     if report.quick {
         failures.push("committed report must come from a full run, not --quick".into());
@@ -483,8 +484,28 @@ pub fn check_report(report: &ParsedSyncReport) -> Vec<String> {
             }
         }
     }
-    failures.extend(gate_failures(&report.points, report.replica_hit_fabric_ops));
+    failures.extend(gate(report));
     failures
+}
+
+/// Run the sweep and both probes, printing each point, and render the
+/// report.
+pub fn run(quick: bool) -> String {
+    let cfg = if quick {
+        SyncScaleConfig::quick()
+    } else {
+        SyncScaleConfig::full()
+    };
+    println!("  {} write rounds per point", cfg.rounds);
+    let points = run_sweep(cfg);
+    for p in &points {
+        println!("  {p:?}");
+    }
+    let probe = run_replica_probe();
+    println!("  replica-hit read path: {probe} fabric ops across 64 reads");
+    let (flat, pod) = run_numa_probe(if quick { 8 } else { 64 });
+    println!("  NUMA combiner placement: remote combiner claims flat={flat} pod={pod}");
+    to_json(cfg, &points, probe)
 }
 
 #[cfg(test)]
@@ -493,10 +514,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_its_own_gate() {
-        let cfg = SyncScaleConfig::quick();
-        let points = run_sweep(cfg);
-        let probe = run_replica_probe();
-        let failures = gate_failures(&points, probe);
+        let failures = gate(&parse_report(&run(true)).expect("parse"));
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -514,7 +532,7 @@ mod tests {
         }
         // A quick report fails the committed-report check on exactly
         // the quick flag.
-        let failures = check_report(&parsed);
+        let failures = check(&parsed);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("--quick"));
     }

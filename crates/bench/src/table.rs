@@ -1,4 +1,5 @@
-//! Plain-text table rendering for experiment reports.
+//! Plain-text table rendering for experiment reports, and the sample
+//! percentile their latency columns share.
 
 /// Render rows as an aligned monospace table with a header rule.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -54,6 +55,16 @@ pub fn fmt_bytes(b: u64) -> String {
     } else {
         format!("{:.2} GiB", b as f64 / (1024.0 * 1024.0 * 1024.0))
     }
+}
+
+/// Exact percentile `p` (0–100, nearest rank) over a sorted sample;
+/// 0 for an empty one.
+pub fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 #[cfg(test)]

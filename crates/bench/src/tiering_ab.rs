@@ -8,6 +8,7 @@
 //! TLB-fronted read workload twice — daemon off, then daemon on — and
 //! compare p50/p99.
 
+use crate::table::percentile_ns;
 use flacdk::alloc::GlobalAllocator;
 use flacdk::sync::rcu::EpochManager;
 use flacdk::sync::reclaim::RetireList;
@@ -59,15 +60,6 @@ impl TieringRow {
     pub fn p50_speedup(&self) -> f64 {
         self.off_p50_ns as f64 / self.on_p50_ns.max(1) as f64
     }
-}
-
-/// Exact percentile over raw latency samples.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 struct ArmResult {

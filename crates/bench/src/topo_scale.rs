@@ -1,4 +1,4 @@
-//! `flac-topo-scale` — topology depth × page size on the zipf tiering
+//! `flac-bench topo` — topology depth × page size on the zipf tiering
 //! workload.
 //!
 //! The tentpole claim (paper §2.1/§3.3, hierarchical memory
@@ -33,6 +33,7 @@ use flacos_tier::{TierBudget, TierConfig, TierDaemon};
 use rack_sim::{GAddr, LAddr, Rack, RackConfig, SplitMix64, Zipf};
 
 use crate::report::{object_with, objects_with, parse_quick};
+use crate::table::percentile_ns;
 
 /// Address-space id used by the workload.
 const ASID: u64 = 1;
@@ -117,15 +118,6 @@ impl TopoRow {
     pub fn parity(&self) -> bool {
         self.total_ns == self.total_ns_rerun
     }
-}
-
-/// Exact percentile over raw latency samples.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// `frame` advanced `bytes` into its allocation.
@@ -361,8 +353,9 @@ pub fn region_probe() -> (u64, u64) {
     (rounds[0], rounds[1])
 }
 
-/// Deterministic acceptance gate over one sweep.
-pub fn gate_failures(rows: &[TopoRow], probe: (u64, u64)) -> Vec<String> {
+/// Deterministic acceptance gate (`--gate`, and part of [`check`]).
+pub fn gate(report: &TopoReport) -> Vec<String> {
+    let (rows, probe) = (&report.rows, report.probe);
     let mut failures = Vec::new();
     if probe != (PAGES_PER_HUGE, 1) {
         failures.push(format!(
@@ -490,8 +483,8 @@ pub fn parse_report(json: &str) -> Result<TopoReport, String> {
 }
 
 /// Strict `--check` validation of a committed report: full run, full
-/// sweep coverage, every gate invariant.
-pub fn check_report(report: &TopoReport) -> Vec<String> {
+/// sweep coverage, every [`gate`] invariant.
+pub fn check(report: &TopoReport) -> Vec<String> {
     let mut failures = Vec::new();
     if report.quick {
         failures.push("committed report must come from a full run, not --quick".into());
@@ -506,8 +499,26 @@ pub fn check_report(report: &TopoReport) -> Vec<String> {
             failures.push(format!("missing sweep cell {topo}/{mode}"));
         }
     }
-    failures.extend(gate_failures(&report.rows, report.probe));
+    failures.extend(gate(report));
     failures
+}
+
+/// Run the region probe and the sweep, printing each row, and render
+/// the report.
+pub fn run(quick: bool) -> String {
+    let cfg = if quick {
+        TopoScaleConfig::quick()
+    } else {
+        TopoScaleConfig::full()
+    };
+    println!("  {} measured accesses per arm", cfg.measured);
+    let probe = region_probe();
+    println!("  region probe (page-wise, region-wise) shootdown rounds: {probe:?}");
+    let rows = run_sweep(cfg);
+    for r in &rows {
+        println!("  {r:?}");
+    }
+    to_json(cfg, &rows, probe)
 }
 
 #[cfg(test)]
@@ -524,23 +535,22 @@ mod tests {
         let cfg = TopoScaleConfig::quick();
         let rows = run_sweep(cfg);
         let probe = region_probe();
-        let failures = gate_failures(&rows, probe);
-        assert!(failures.is_empty(), "{failures:?}");
-
         let json = to_json(cfg, &rows, probe);
         let report = parse_report(&json).expect("parse");
         assert!(report.quick);
         assert_eq!(report.rows, rows);
         assert_eq!(report.probe, probe);
+        let failures = gate(&report);
+        assert!(failures.is_empty(), "{failures:?}");
         // A quick report must be rejected as a committed artifact...
-        assert!(check_report(&report).iter().any(|f| f.contains("--quick")));
+        assert!(check(&report).iter().any(|f| f.contains("--quick")));
         // ...while the same rows from a full run pass.
         let full = TopoReport {
             quick: false,
             rows,
             probe,
         };
-        assert!(check_report(&full).is_empty());
+        assert!(check(&full).is_empty());
     }
 
     #[test]
@@ -562,7 +572,7 @@ mod tests {
             rows: vec![row],
             probe: (512, 2),
         };
-        let failures = check_report(&report);
+        let failures = check(&report);
         assert!(failures.iter().any(|f| f.contains("missing sweep cell")));
         assert!(failures.iter().any(|f| f.contains("region probe")));
     }

@@ -23,22 +23,19 @@ cargo test -q --offline --workspace
 echo "== perfbench tests (own workspace: an API break in crates/* surfaces here first) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== bench targets compile (offline, feature-gated) =="
-cargo build --offline -p bench --benches --features criterion
-
-echo "== cache-scale smoke (~1 s wall-clock gate, JSON shape + regressions) =="
-cargo run --release --offline -p bench --bin cache-scale -- \
+echo "== flac-bench cache smoke (~1 s wall-clock gate, JSON shape + regressions) =="
+cargo run --release --offline -p bench --bin flac-bench -- cache \
     --quick --out target/BENCH_cache.quick.json --gate
 
 echo "== committed BENCH_cache.json honors the miss-heavy acceptance targets =="
-cargo run --release --offline -p bench --bin cache-scale -- --check BENCH_cache.json
+cargo run --release --offline -p bench --bin flac-bench -- cache --check BENCH_cache.json
 
-echo "== serve-scale smoke (open-loop loadgen gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-loadgen -- \
+echo "== flac-bench serve smoke (open-loop loadgen gate, JSON shape + invariants) =="
+cargo run --release --offline -p bench --bin flac-bench -- serve \
     --quick --out target/BENCH_serve.quick.json --gate
 
 echo "== committed BENCH_serve.json honors the serving acceptance targets =="
-cargo run --release --offline -p bench --bin flac-loadgen -- --check BENCH_serve.json
+cargo run --release --offline -p bench --bin flac-bench -- serve --check BENCH_serve.json
 
 echo "== fault-storm smoke campaign (fixed seeds, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --steps 60 --verify
@@ -52,26 +49,26 @@ cargo run --release --offline -p bench --bin flac-faultstorm -- --tiering --seed
 echo "== sync-cell fault-storm campaigns (owner + combiner crashes, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --sync --seeds 2 --steps 60 --verify
 
-echo "== sync-scale smoke (flat-combining gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-sync-scale -- \
+echo "== flac-bench sync smoke (flat-combining gate, JSON shape + invariants) =="
+cargo run --release --offline -p bench --bin flac-bench -- sync \
     --quick --out target/BENCH_sync.quick.json --gate
 
 echo "== committed BENCH_sync.json honors the node-replication acceptance targets =="
-cargo run --release --offline -p bench --bin flac-sync-scale -- --check BENCH_sync.json
+cargo run --release --offline -p bench --bin flac-bench -- sync --check BENCH_sync.json
 
-echo "== topo-scale smoke (region probe + huge-page tiering gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-topo-scale -- \
+echo "== flac-bench topo smoke (region probe + huge-page tiering gate, JSON shape + invariants) =="
+cargo run --release --offline -p bench --bin flac-bench -- topo \
     --quick --out target/BENCH_topo.quick.json --gate
 
 echo "== committed BENCH_topo.json honors the ranged-shootdown acceptance targets =="
-cargo run --release --offline -p bench --bin flac-topo-scale -- --check BENCH_topo.json
+cargo run --release --offline -p bench --bin flac-bench -- topo --check BENCH_topo.json
 
-echo "== store-scale smoke (~1 s shard sweep + overlap gate, JSON shape + invariants) =="
-cargo run --release --offline -p bench --bin flac-store-scale -- \
+echo "== flac-bench store smoke (~1 s shard sweep + overlap gate, JSON shape + invariants) =="
+cargo run --release --offline -p bench --bin flac-bench -- store \
     --quick --out target/BENCH_store.quick.json --gate
 
 echo "== committed BENCH_store.json honors the shard-scaling acceptance targets =="
-cargo run --release --offline -p bench --bin flac-store-scale -- --check BENCH_store.json
+cargo run --release --offline -p bench --bin flac-bench -- store --check BENCH_store.json
 
 echo "== chunk-store fault-storm campaign (fetcher crashes mid-fetch, replay-verified) =="
 cargo run --release --offline -p bench --bin flac-faultstorm -- --store --seeds 2 --steps 60 --verify
