@@ -190,9 +190,11 @@ impl CheckpointManager {
         Ok(e.len)
     }
 
-    /// Release a checkpoint's snapshot storage.
+    /// Release a checkpoint's snapshot storage, in object-id order: the
+    /// free order decides which addresses later allocations reuse, so it
+    /// must not depend on the map's per-process hash order.
     pub fn discard(&self, ctx: &NodeCtx, ckpt: Checkpoint) {
-        for e in ckpt.entries.values() {
+        for e in ckpt.entries() {
             self.alloc.free(ctx, e.copy, e.len);
         }
     }
@@ -300,5 +302,25 @@ mod tests {
         let ckpt = cm.capture(&n0, &[(1, obj, 64)]).unwrap();
         cm.discard(&n0, ckpt);
         assert_eq!(cm.allocator().free_count(64), 1);
+    }
+
+    #[test]
+    fn discard_order_makes_recycled_copies_repeat() {
+        // Which recycled address each object's next copy lands on follows
+        // the free order; it must be the same on every freshly built rack.
+        let recycled_copies = || {
+            let (rack, cm) = setup();
+            let n0 = rack.node(0);
+            let objects: Vec<(u64, GAddr, usize)> = (0..8)
+                .map(|id| (id, rack.global().alloc(64, 8).unwrap(), 64))
+                .collect();
+            cm.discard(&n0, cm.capture(&n0, &objects).unwrap());
+            let again = cm.capture(&n0, &objects).unwrap();
+            again.entries().iter().map(|e| e.copy).collect::<Vec<_>>()
+        };
+        let first = recycled_copies();
+        for _ in 0..7 {
+            assert_eq!(recycled_copies(), first);
+        }
     }
 }

@@ -10,14 +10,16 @@
 //!   poisoned words (read faults) and silent corruption.
 //! * [`checkpoint`] — epoch-pinned object snapshots; reuses the RCU
 //!   multi-version machinery (the sync/reliability co-design).
-//! * [`recover`] — scrub + checkpoint restore + operation-log replay.
+//!
+//! Recovery is composed from these stages elsewhere: op-log replay is
+//! [`crate::sync::SyncCell::replay`], and `flacos-fault`'s
+//! `RecoveryOrchestrator` scrubs and restores fault boxes from
+//! checkpoints.
 
 pub mod checkpoint;
 pub mod detect;
 pub mod monitor;
-pub mod recover;
 
 pub use checkpoint::{Checkpoint, CheckpointManager};
 pub use detect::{Detection, FaultDetector};
 pub use monitor::{HealthMonitor, NodeHealth};
-pub use recover::{RecoveryManager, RecoveryReport};

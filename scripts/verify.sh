@@ -37,17 +37,11 @@ cargo run --release --offline -p bench --bin flac-bench -- serve \
 echo "== committed BENCH_serve.json honors the serving acceptance targets =="
 cargo run --release --offline -p bench --bin flac-bench -- serve --check BENCH_serve.json
 
-echo "== fault-storm smoke campaign (fixed seeds, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --seeds 2 --steps 60 --verify
+echo "== fault-storm campaigns: rack, tiering, sync, nr-sync, store (fixed seeds, whole outcome replay-verified) =="
+cargo run --release --offline -p bench --bin flac-faultstorm -- all --seeds 2 --steps 60 --verify
 
 echo "== tiering smoke: A7 ablation =="
 cargo run --release --offline -p bench --bin figures -- tiering
-
-echo "== tiering fault-storm campaign (fixed seeds, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --tiering --seeds 2 --steps 60 --verify
-
-echo "== sync-cell fault-storm campaigns (owner + combiner crashes, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --sync --seeds 2 --steps 60 --verify
 
 echo "== flac-bench sync smoke (flat-combining gate, JSON shape + invariants) =="
 cargo run --release --offline -p bench --bin flac-bench -- sync \
@@ -69,8 +63,5 @@ cargo run --release --offline -p bench --bin flac-bench -- store \
 
 echo "== committed BENCH_store.json honors the shard-scaling acceptance targets =="
 cargo run --release --offline -p bench --bin flac-bench -- store --check BENCH_store.json
-
-echo "== chunk-store fault-storm campaign (fetcher crashes mid-fetch, replay-verified) =="
-cargo run --release --offline -p bench --bin flac-faultstorm -- --store --seeds 2 --steps 60 --verify
 
 echo "verify: OK"
